@@ -10,7 +10,16 @@ indexing, tag matching, LRU replacement and occupancy statistics only.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import (
+    Callable,
+    Generic,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .bitops import is_power_of_two, log2_exact, mask
 
@@ -24,10 +33,12 @@ class _Way(Generic[E]):
 
     __slots__ = ("tag", "entry", "lru")
 
-    def __init__(self) -> None:
-        self.tag: Optional[int] = None
-        self.entry: Optional[E] = None
-        self.lru: int = 0
+    def __init__(
+        self, tag: Optional[int] = None, entry: Optional[E] = None, lru: int = 0
+    ) -> None:
+        self.tag = tag
+        self.entry = entry
+        self.lru = lru
 
     @property
     def valid(self) -> bool:
@@ -40,6 +51,14 @@ class SetAssociativeTable(Generic[E]):
     Keys are arbitrary integers (e.g. instruction pointers).  The low
     ``log2(num_sets)`` bits select the set and the remaining high bits form
     the tag, mirroring a hardware indexed/tagged structure.
+
+    Ways are allocated on first write: a set holds only the ways filled
+    so far (an untouched set is the empty tuple), and an insert that finds
+    no invalid way appends one until the set has ``ways`` of them.  That
+    is the way an eagerly built table would fill next, so lookups,
+    replacement, iteration order and statistics match it, while a
+    predictor touching a few hundred of its thousands of sets only pays
+    for those.
 
     Parameters
     ----------
@@ -60,9 +79,7 @@ class SetAssociativeTable(Generic[E]):
         if not is_power_of_two(self.num_sets):
             raise ValueError("entries/ways must be a power of two")
         self.index_bits = log2_exact(self.num_sets)
-        self._sets: List[List[_Way[E]]] = [
-            [_Way() for _ in range(ways)] for _ in range(self.num_sets)
-        ]
+        self._sets: List[Sequence[_Way[E]]] = [()] * self.num_sets
         self._clock = 0
         self.hits = 0
         self.misses = 0
@@ -74,6 +91,18 @@ class SetAssociativeTable(Generic[E]):
         index = key & mask(self.index_bits)
         tag = key >> self.index_bits
         return index, tag
+
+    def _append_way(
+        self, index: int, tag: int, entry: E, lru: int
+    ) -> None:
+        """Allocate the next way of set ``index``, holding ``entry``.
+
+        The caller guarantees the set has fewer than ``ways`` ways.
+        """
+        ways = self._sets[index]
+        if not ways:
+            ways = self._sets[index] = []
+        ways.append(_Way(tag, entry, lru))  # type: ignore[union-attr]
 
     # -- operations -----------------------------------------------------
 
@@ -112,13 +141,16 @@ class SetAssociativeTable(Generic[E]):
                 way.entry = entry
                 way.lru = self._clock
                 return None
-        # Fill an invalid way if one exists.
+        # Fill an invalid way if one exists, else a not yet allocated one.
         for way in ways:
             if not way.valid:
                 way.tag = tag
                 way.entry = entry
                 way.lru = self._clock
                 return None
+        if len(ways) < self.ways:
+            self._append_way(index, tag, entry, self._clock)
+            return None
         # Evict the LRU way.
         victim = min(ways, key=lambda w: w.lru)
         evicted = victim.entry
@@ -150,11 +182,7 @@ class SetAssociativeTable(Generic[E]):
 
     def clear(self) -> None:
         """Invalidate every entry and reset statistics."""
-        for ways in self._sets:
-            for way in ways:
-                way.tag = None
-                way.entry = None
-                way.lru = 0
+        self._sets = [()] * self.num_sets
         self._clock = 0
         self.hits = 0
         self.misses = 0

@@ -20,17 +20,25 @@ Design rules:
 * **Worker count comes from ``REPRO_JOBS``** (default: CPU count).
   ``REPRO_JOBS=1`` short-circuits to plain in-process execution, so pytest
   and debugging behaviour is exactly the single-process code path.
+* **Jobs run grouped by trace.**  The jobs of one trace execute back to
+  back in one process under one :class:`~repro.kernels.batch.PlanScope`,
+  so their kernel plans share one event batch and the solves memoised on
+  it (LB grouping, stride and CAP rows).  The scope is dropped when the
+  group ends, before the next trace's plans are built.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import platform
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..kernels.batch import PlanScope
 from ..pipeline.delayed import PipelinedPredictor
 from ..predictors.base import AddressPredictor
 from ..predictors.cap import CAPConfig, CAPPredictor
@@ -208,6 +216,15 @@ def _memoized_stream(
     )
 
 
+#: The plan scope of the trace group being executed (None outside one).
+#: Set and reset by :func:`_run_group` around its jobs; a context variable
+#: because ``execute_job(job)`` keeps its one-argument form for callers
+#: that wrap it.
+_PLAN_SCOPE: "ContextVar[Optional[PlanScope]]" = ContextVar(
+    "repro_plan_scope", default=None
+)
+
+
 def _suite_of(trace_name: str) -> str:
     try:
         return suite_registry.suite_of(trace_name)
@@ -289,7 +306,10 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
         )
     profiler = maybe_start_profiler()
     try:
-        run_on_columns(predictor, stream, metrics, warmup_loads=warmup)
+        run_on_columns(
+            predictor, stream, metrics, warmup_loads=warmup,
+            scope=_PLAN_SCOPE.get(),
+        )
     finally:
         if profiler is not None:
             aux["profile"] = profiler.stop()
@@ -452,48 +472,82 @@ def execute_job(job: Job) -> JobResult:
 resolve_jobs = run_config.resolve_jobs
 
 
+def _trace_groups(jobs: Sequence[Job], chunk: int) -> List[List[int]]:
+    """Job indices grouped by trace, at most ``chunk`` to a group.
+
+    Groups follow each trace's first appearance and keep job order
+    within a trace.
+    """
+    by_trace: Dict[tuple, List[int]] = {}
+    for index, job in enumerate(jobs):
+        by_trace.setdefault((job.trace, job.instructions), []).append(index)
+    return [
+        indices[start:start + chunk]
+        for indices in by_trace.values()
+        for start in range(0, len(indices), chunk)
+    ]
+
+
+def _run_group(jobs: Sequence[Job]) -> List[JobResult]:
+    """Execute one trace's jobs in order under a fresh plan scope."""
+    token = _PLAN_SCOPE.set(PlanScope())
+    try:
+        return [execute_job(job) for job in jobs]
+    finally:
+        _PLAN_SCOPE.reset(token)
+
+
 def run_jobs(
     jobs: Iterable[Job],
     max_workers: Optional[int] = None,
 ) -> List[JobResult]:
     """Execute a batch of jobs and return results in job order.
 
-    With one worker (``REPRO_JOBS=1`` or a single job) everything runs
-    in-process; otherwise jobs fan out over a ``ProcessPoolExecutor`` and
-    results are stitched back by submission index, so the output is
+    Jobs run in per-trace groups (:func:`_run_group`).  With one worker
+    (``REPRO_JOBS=1`` or a single job) everything runs in-process;
+    otherwise the groups — split so there are at least as many as
+    workers when the jobs allow — fan out over a ``ProcessPoolExecutor``
+    and results are stitched back by job index, so the output is
     independent of worker scheduling.
     """
     from ..obs.metrics import global_registry
 
     job_list: Sequence[Job] = list(jobs)
+    results: List[Optional[JobResult]] = [None] * len(job_list)
     workers = resolve_jobs(max_workers)
     if workers == 1 or len(job_list) < 2:
-        return [execute_job(job) for job in job_list]
+        for indices in _trace_groups(job_list, len(job_list)):
+            group = _run_group([job_list[i] for i in indices])
+            for index, result in zip(indices, group):
+                results[index] = result
+        return results  # type: ignore[return-value]
     registry = global_registry()
     queue_wait = registry.histogram("engine.job.queue_wait_s")
-    results: List[Optional[JobResult]] = [None] * len(job_list)
     telemetry_on = run_manifest.enabled()
     completed = 0
     pool_workers = min(workers, len(job_list))
+    chunk = math.ceil(len(job_list) / pool_workers)
     busy_s = 0.0
     submitted = run_manifest.perf_clock()
     with ProcessPoolExecutor(max_workers=pool_workers) as pool:
         futures = {
-            pool.submit(execute_job, job): index
-            for index, job in enumerate(job_list)
+            pool.submit(_run_group, [job_list[i] for i in indices]): indices
+            for indices in _trace_groups(job_list, chunk)
         }
         for future in as_completed(futures):
-            result = future.result()
-            results[futures[future]] = result
-            # Pool latency splits into queue-wait (time the job spent
+            indices = futures[future]
+            group = future.result()
+            # Pool latency splits into queue-wait (time the group spent
             # waiting for a worker slot) and the run wall the worker
             # measured; both travel into the metrics registry.
             done = run_manifest.perf_clock()
-            wall_s = result.wall_s or 0.0
-            busy_s += wall_s
-            queue_wait.observe(max(0.0, done - submitted - wall_s))
+            group_wall = sum(result.wall_s or 0.0 for result in group)
+            busy_s += group_wall
+            for index, result in zip(indices, group):
+                results[index] = result
+                queue_wait.observe(max(0.0, done - submitted - group_wall))
             if telemetry_on:
-                completed += 1
+                completed += len(indices)
                 run_manifest.heartbeat(
                     f"progress {completed}/{len(job_list)} jobs complete"
                 )

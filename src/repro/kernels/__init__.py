@@ -1,14 +1,16 @@
 """Batch kernel layer: vectorised predictor evaluation over columnar events.
 
-The scalar evaluation loop (:func:`repro.eval.runner.run_on_columns`)
+The scalar evaluation loop (:func:`repro.serve.session.run_on_columns`)
 interprets one event at a time; for table-indexed predictors the same
 computation factors into grouped array passes — the kernels here evaluate
 a whole :class:`~repro.trace.trace.PredictorStream` per predictor in a
 handful of numpy operations plus short Python loops over rare sequential
 stretches (CFI dirty periods, per-key state commits).
 
-Entry point: :func:`try_run_batch`, called by ``run_on_columns``.  It
-dispatches to a predictor's ``predict_batch``/``update_batch`` kernel when
+Entry point: :func:`try_run_batch`, called by ``run_on_columns`` in
+:mod:`repro.serve.session` (the loop offline jobs and served sessions
+share).  It dispatches to a predictor's ``predict_batch``/
+``update_batch`` kernel when
 
 * the resolved backend is ``numpy`` (``REPRO_BACKEND`` / ``--backend``),
 * the predictor advertises ``supports_batch`` and is not in the pipelined
@@ -20,11 +22,17 @@ and falls back to the scalar reference when the kernel raises
 :class:`BatchFallback` (configurations with genuinely sequential table
 dynamics, e.g. an overflowing load-buffer set or a set-associative LT).
 Either way the metrics record which backend actually ran.
+
+Each dispatch plans over an :class:`~repro.kernels.batch.EventBatch` of
+the stream.  Without a scope every call builds its own (a served feed);
+with a :class:`~repro.kernels.batch.PlanScope` the calls on one stream
+share one batch and the plan pieces memoised on it (the engine gives the
+jobs of each trace one scope).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .api import (
     BACKEND_ENV,
@@ -36,6 +44,9 @@ from .api import (
     record_dispatch,
     resolve_backend,
 )
+
+if TYPE_CHECKING:
+    from .batch import PlanScope
 
 __all__ = [
     "BACKEND_ENV",
@@ -60,22 +71,45 @@ def supports_batch(predictor) -> bool:
     )
 
 
-def run_batch(predictor, stream, warmup_loads: int = 0) -> Optional[BatchResult]:
+def run_batch(
+    predictor,
+    stream,
+    warmup_loads: int = 0,
+    scope: Optional["PlanScope"] = None,
+) -> Optional[BatchResult]:
     """Run the kernel path unconditionally; ``None`` on :class:`BatchFallback`.
 
     The predictor must pass :func:`supports_batch`.  On success the
     predictor holds the same end-of-stream state the scalar path would
-    have produced.
+    have produced.  With a ``scope`` the plan reuses what earlier runs on
+    the same stream solved, and the ``kernels.plan_share.hit``/``.miss``
+    counters record (once per run) whether it did.
     """
     from .batch import EventBatch
 
-    batch = EventBatch.from_stream(stream)
+    if scope is None:
+        batch = EventBatch.from_stream(stream)
+    else:
+        batch = scope.batch_for(stream)
+    batch.begin_plan()
+    reuses = batch.reuses
     try:
         result = predictor.predict_batch(batch)
     except BatchFallback:
         return None
+    finally:
+        if scope is not None:
+            _record_plan_share(batch.reuses > reuses)
     predictor.update_batch(batch, result)
     return result
+
+
+def _record_plan_share(reused: bool) -> None:
+    """Count one scoped plan: ``hit`` when it reused a sibling's solve."""
+    from ..obs.metrics import global_registry
+
+    outcome = "hit" if reused else "miss"
+    global_registry().counter(f"kernels.plan_share.{outcome}").inc()
 
 
 def try_run_batch(
@@ -84,11 +118,13 @@ def try_run_batch(
     metrics,
     warmup_loads: int = 0,
     observer: Optional[Callable] = None,
+    scope: Optional["PlanScope"] = None,
 ) -> bool:
     """Kernel dispatch for ``run_on_columns``.
 
     Returns True when the batch path ran (metrics fully folded); False
-    when the caller must run the scalar loop.
+    when the caller must run the scalar loop.  ``scope`` is handed to
+    :func:`run_batch`.
     """
     if observer is not None or not supports_batch(predictor):
         record_dispatch(predictor, "declined")
@@ -96,7 +132,7 @@ def try_run_batch(
     if resolve_backend() != BACKEND_NUMPY:
         record_dispatch(predictor, "declined")
         return False
-    result = run_batch(predictor, stream, warmup_loads)
+    result = run_batch(predictor, stream, warmup_loads, scope)
     if result is None:
         record_dispatch(predictor, "fallback")
         return False

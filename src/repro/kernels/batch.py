@@ -2,31 +2,59 @@
 
 An :class:`EventBatch` wraps one trace's :class:`~repro.trace.trace.
 PredictorStream` as numpy arrays plus the derived views every kernel
-needs: the load sub-stream, per-static-load grouping (stable sort by load
-key so each static load's dynamic history is a contiguous segment), the
-global history register value visible to each load, and the call-path hash
-stream for path-indexed predictors.
+needs: the load sub-stream, the load-buffer grouping (each static load's
+dynamic instances — each generation's, where sets overflow — as one
+contiguous segment), the global history register value visible to each
+load, and the call-path hash stream for path-indexed predictors.
 
 Everything is computed lazily and memoised — a last-address kernel never
 pays for GHR reconstruction, and the call-path hash is only built for
 ``call_path``-indexed gshare configs.
+
+One batch may serve several predictors on the same stream (the engine
+hands the jobs of one trace a shared batch through a :class:`PlanScope`).
+Solves that depend only on the stream, the load-buffer grouping and a
+configuration slice — the grouping itself, the stride and CAP component
+rows — are memoised with :meth:`EventBatch.shared` and handed out
+read-only, so a kernel that tried to write into a sibling's plan raises
+instead of corrupting it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from ..predictors.base import AddressPredictor
-from . import segops
 
-__all__ = ["EventBatch"]
+__all__ = ["EventBatch", "PlanScope"]
 
 GHR_BITS = AddressPredictor.GHR_BITS
 PATH_DEPTH = AddressPredictor.PATH_DEPTH
 _GHR_MASK = np.int64((1 << GHR_BITS) - 1)
 _PATH_HASH_BITS = 30
+
+
+def freeze(value: Any) -> Any:
+    """Make a memoised plan piece read-only, all the way down.
+
+    numpy arrays lose their ``writeable`` flag, dicts become read-only
+    mapping proxies and tuples are frozen item by item.  Lists in plans
+    hold plain records (e.g. a Link Table way's ``(slot, link, tag, pf,
+    stamp)``) and become tuples as they are; anything else (ints, None)
+    is immutable already.
+    """
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        value = MappingProxyType({k: freeze(v) for k, v in value.items()})
+    elif isinstance(value, tuple):
+        value = tuple(freeze(v) for v in value)
+    elif isinstance(value, list):
+        value = tuple(value)
+    return value
 
 
 class EventBatch:
@@ -36,8 +64,15 @@ class EventBatch:
         self.tag, self.ip, self.a, self.b = arrays
         self._load_idx: Optional[np.ndarray] = None
         self._load_cols: Optional[Tuple[np.ndarray, ...]] = None
-        self._groups: Optional[Tuple[np.ndarray, ...]] = None
-        self._lb_groups: dict = {}
+        self._lb_keys: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._grouping: Dict[Tuple[int, int], Hashable] = {}
+        #: The grouping whose pieces ``_shared`` holds, and those pieces:
+        #: key -> (frozen value, number of the plan that solved it).
+        self._held: Hashable = None
+        self._shared: Dict[Hashable, Tuple[Any, int]] = {}
+        self._plan = 0
+        #: :meth:`shared` lookups answered by an earlier plan's solve.
+        self.reuses = 0
         self._ghr: Optional[np.ndarray] = None
         self._final_ghr: Optional[int] = None
         self._path_hash: Optional[np.ndarray] = None
@@ -53,7 +88,7 @@ class EventBatch:
     def load_idx(self) -> np.ndarray:
         """Event positions of the dynamic loads."""
         if self._load_idx is None:
-            self._load_idx = np.flatnonzero(self.tag == 1)
+            self._load_idx = freeze(np.flatnonzero(self.tag == 1))
         return self._load_idx
 
     @property
@@ -64,51 +99,88 @@ class EventBatch:
         """``(ip, actual, offset)`` restricted to the dynamic loads."""
         if self._load_cols is None:
             idx = self.load_idx
-            self._load_cols = (self.ip[idx], self.a[idx], self.b[idx])
+            self._load_cols = freeze((self.ip[idx], self.a[idx], self.b[idx]))
         return self._load_cols
 
-    def load_groups(self) -> Tuple[np.ndarray, ...]:
-        """Stable grouping of loads by load-buffer key (``ip >> 2``).
+    # -- shared plan pieces -------------------------------------------------------
 
-        Returns ``(key, order, starts, occ, first_pos)``:
+    def shared(self, table, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The memoised, read-only (:func:`freeze`) result of ``build()``.
 
-        * ``key``   per-load LB key, in original load order;
-        * ``order`` permutation putting loads into (key, time) order;
-        * ``starts`` segment-head marker in the sorted layout;
-        * ``occ``   per sorted position, the load's occurrence index within
-          its key (0 for the first dynamic instance of a static load);
-        * ``first_pos`` original load index of each key's first occurrence,
-          one entry per segment head (i.e. per distinct key, in sorted-key
-          order).
+        The result belongs to the LB grouping of ``table``
+        (:meth:`grouping_key`); ``key`` must name everything else it
+        depends on besides this batch's events — the solve and the
+        configuration slice it reads.  Kernels only ever plan untrained
+        predictors, so no predictor state belongs in a key.
+
+        Pieces of one grouping are held at a time: asking for a piece of
+        another grouping first drops the held ones.  Siblings that share
+        a grouping run back to back in the figure grids, while an
+        overflowing geometry's pieces are rarely wanted again — so this
+        keeps nearly all the reuse with one grouping's plans in memory.
         """
-        if self._groups is None:
-            ips, _, _ = self.load_columns()
-            key = ips >> 2
-            order, starts = segops.group_sort(key)
-            n = len(key)
-            occ = np.arange(n, dtype=np.int64) - segops.seg_last_index_where(
-                starts, starts
-            )
-            first_pos = order[starts]
-            self._groups = (key, order, starts, occ, first_pos)
-        return self._groups
+        grouping = self.grouping_key(table)
+        if grouping != self._held:
+            self._shared = {}
+            self._held = grouping
+        found = self._shared.get(key)
+        if found is None:
+            value = freeze(build())
+            self._shared[key] = (value, self._plan)
+            return value
+        value, plan = found
+        if plan != self._plan:
+            self.reuses += 1
+        return value
 
-    def lb_groups(self, table) -> dict:
+    def begin_plan(self) -> None:
+        """Mark the start of the next predictor's plan on this batch.
+
+        :attr:`reuses` counts only lookups served by a solve from an
+        earlier plan, not a plan re-reading what it solved itself.
+        """
+        self._plan += 1
+
+    def grouping_key(self, table) -> Hashable:
+        """Which LB grouping a load buffer of ``table``'s geometry sees.
+
+        ``"flat"`` when no set of that geometry receives more distinct
+        static loads than it has ways: then every static load keeps one
+        generation, the grouping is the plain per-key one, and all such
+        geometries share it.  Otherwise the ``(index_bits, ways)`` shape,
+        whose LRU replay is solved on its own.
+        """
+        from .lb import overflow_sets
+
+        shape = (table.index_bits, table.ways)
+        found = self._grouping.get(shape)
+        if found is None:
+            if self._lb_keys is None:
+                ips, _, _ = self.load_columns()
+                key = ips >> 2
+                self._lb_keys = freeze((key, np.unique(key)))
+            found = (
+                shape if overflow_sets(table, self._lb_keys[1]).any()
+                else "flat"
+            )
+            self._grouping[shape] = found
+        return found
+
+    def lb_groups(self, table) -> Any:
         """Generation-aware grouping against a load buffer's geometry.
 
-        Memoised per ``(index_bits, ways)`` — predictors sharing a table
-        shape (e.g. a fig5 grid) reuse the same solve.  See
-        :func:`repro.kernels.lb.lb_solve`.
+        Shared by every predictor on this batch whose load buffer sees
+        the same grouping (:meth:`grouping_key`) — a fig5 row's stride,
+        CAP and hybrid, and each non-overflowing fig6 geometry, solve it
+        once.  See :func:`repro.kernels.lb.lb_solve`.
         """
         from .lb import lb_solve
 
-        shape = (table.index_bits, table.ways)
-        solved = self._lb_groups.get(shape)
-        if solved is None:
-            ips, _, _ = self.load_columns()
-            solved = lb_solve(table, ips >> 2)
-            self._lb_groups[shape] = solved
-        return solved
+        def solve() -> dict:
+            assert self._lb_keys is not None  # set by grouping_key
+            return lb_solve(table, self._lb_keys[0])
+
+        return self.shared(table, "lb", solve)
 
     # -- control-flow history -------------------------------------------------
 
@@ -131,7 +203,7 @@ class EventBatch:
         ghr = np.zeros(self.n_loads, dtype=np.int64)
         has_prior = before > 0
         ghr[has_prior] = g_after[before[has_prior] - 1]
-        self._ghr = ghr
+        self._ghr = freeze(ghr)
         self._final_ghr = int(g_after[-1]) if nb else 0
 
     @property
@@ -162,7 +234,7 @@ class EventBatch:
             if nc > back:
                 contrib[back:] = x[: nc - back] if back else x
             h = ((h << 3) ^ contrib) & mask
-        self._path_hash = h
+        self._path_hash = freeze(h)
         tail = call_ip[-PATH_DEPTH:] if nc else call_ip
         self._final_path = [int(v) for v in tail]
 
@@ -189,3 +261,25 @@ class EventBatch:
         """Write the end-of-batch GHR and call path into ``predictor``."""
         predictor.ghr = self.final_ghr
         predictor.call_path = self.final_path
+
+
+class PlanScope:
+    """Hands the jobs of one stream a single shared :class:`EventBatch`.
+
+    The batch for a stream is built on the first request and kept only
+    until a request names a different stream: the old batch (and every
+    plan piece memoised on it) is dropped before the new one is built,
+    so a scope holds at most one stream's plans at a time.
+    """
+
+    def __init__(self) -> None:
+        self._stream: Any = None
+        self._batch: Optional[EventBatch] = None
+
+    def batch_for(self, stream) -> EventBatch:
+        """The shared batch of ``stream``."""
+        if self._batch is None or stream is not self._stream:
+            self._stream = self._batch = None
+            self._batch = EventBatch.from_stream(stream)
+            self._stream = stream
+        return self._batch

@@ -16,7 +16,10 @@ its value-event subsequence is offset by one from ``base``/``real``;
 everything downstream works on the value-event layout and is agnostic.
 
 The row solver is shared with the hybrid kernel via :func:`cap_rows`
-(CFI resolution stays with the caller, as in the stride kernel).
+(CFI resolution stays with the caller, as in the stride kernel);
+:func:`shared_cap_rows` memoises it on the batch, so a stand-alone CAP
+predictor and a hybrid with the same CAP configuration, LB grouping and
+LT-update gate solve it once.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ from .control_flow import resolve_cfi, sat_counter_trajectory
 from .lb import lb_commit
 from .link_table import commit_link_table, solve_link_table
 from .segops import seg_exclusive_cumsum, seg_last_index_where, seg_shift
+from .stride import shared_stride_rows
 
-__all__ = ["history_trajectory", "cap_rows", "plan_cap", "commit_cap"]
+__all__ = [
+    "history_trajectory", "cap_rows", "shared_cap_rows", "plan_cap", "commit_cap",
+]
 
 _SOURCES = ("cap",)
 _MASK32 = np.int64(0xFFFFFFFF)
@@ -191,6 +197,33 @@ def cap_rows(
     }
 
 
+def shared_cap_rows(batch: EventBatch, table, component, stride_gate=None):
+    """:func:`cap_rows` of ``component`` over ``table``'s LB grouping.
+
+    ``stride_gate`` is ``None`` (every train writes the LT) or the
+    :class:`~repro.predictors.stride.StrideConfig` whose correct rows skip
+    the LT write (the hybrid's ``unless_stride_correct`` policy).
+    Memoised on the batch by (grouping, component config, gate) and
+    read-only.
+    """
+    lb = batch.lb_groups(table)
+
+    def build() -> dict:
+        _, actual, offsets = batch.load_columns()
+        order = lb["order"]
+        update_lt_s = None
+        if stride_gate is not None:
+            update_lt_s = ~shared_stride_rows(batch, table, stride_gate)["corr"]
+        return cap_rows(
+            component, batch, actual[order], offsets[order], lb["starts"],
+            order, update_lt_s,
+        )
+
+    return batch.shared(
+        table, ("cap_rows", component.config, stride_gate), build
+    )
+
+
 def _sub_starts(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Segment-head marker of the ``mask`` subsequence."""
     before = seg_exclusive_cumsum(mask.astype(np.int64), starts)
@@ -201,12 +234,11 @@ def plan_cap(predictor, batch: EventBatch) -> BatchResult:
     cfg = predictor.config
     lb = batch.lb_groups(predictor.load_buffer)
     order, starts = lb["order"], lb["starts"]
-    _, actual, offsets = batch.load_columns()
+    _, actual, _ = batch.load_columns()
     n = batch.n_loads
 
     a_s = actual[order]
-    b_s = offsets[order]
-    rows = cap_rows(predictor.component, batch, a_s, b_s, starts, order, None)
+    rows = shared_cap_rows(batch, predictor.load_buffer, predictor.component)
     made_s = rows["made"]
 
     if cfg.cfi_mode == CFI_OFF:

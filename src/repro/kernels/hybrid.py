@@ -15,6 +15,11 @@ adds the parts that only exist in the hybrid:
   jointly (:func:`repro.kernels.control_flow.resolve_cfi_hybrid`);
 * the Figures 8–10 selector statistics.
 
+The component rows come from the batch's shared memo (a fig5 row's stride
+and CAP jobs already solved them), and the finished plan is memoised too:
+past the LB grouping it does not depend on the geometry, so fig6's
+non-overflowing geometries plan once.
+
 The ``unless_stride_selected`` LT-update policy gates the Link Table
 write on the *final* arbitration outcome, which feeds back into the LT
 timeline itself; that loop has no closed form, so the kernel raises
@@ -23,18 +28,20 @@ timeline itself; that loop has no closed form, so the kernel raises
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from ..predictors.confidence import CFI_LAST, CFI_OFF
 from ..predictors.hybrid import UPDATE_UNLESS_STRIDE_CORRECT, UPDATE_UNLESS_STRIDE_SELECTED
 from .api import BatchFallback, BatchResult
 from .batch import EventBatch
-from .cap import cap_rows
+from .cap import shared_cap_rows
 from .control_flow import resolve_cfi_hybrid
 from .lb import lb_commit
 from .link_table import commit_link_table
 from .segops import seg_clamped_walk, seg_shift
-from .stride import stride_rows
+from .stride import shared_stride_rows
 
 __all__ = ["plan_hybrid", "commit_hybrid"]
 
@@ -54,26 +61,45 @@ def plan_hybrid(predictor, batch: EventBatch) -> BatchResult:
         raise BatchFallback(
             "unless_stride_selected couples the LT timeline to arbitration"
         )
-    lb = batch.lb_groups(predictor.load_buffer)
+    # Past its LB grouping the plan does not depend on the LB geometry, so
+    # hybrids that differ only in geometry (fig6) share one plan while
+    # their sets do not overflow; every other config field is in the key.
+    table = predictor.load_buffer
+    key = ("hybrid_plan",) + tuple(
+        (f.name, getattr(cfg, f.name)) for f in fields(cfg)
+        if f.name not in ("lb_entries", "lb_ways")
+    )
+    address, made, speculative, correct, source, state = batch.shared(
+        table, key, lambda: _solve_hybrid(predictor, batch)
+    )
+    return BatchResult(
+        address, made, speculative, correct, source, _SOURCES, state
+    )
+
+
+def _solve_hybrid(predictor, batch: EventBatch) -> tuple:
+    """The hybrid plan's result arrays and commit state (see above)."""
+    cfg = predictor.config
+    table = predictor.load_buffer
+    lb = batch.lb_groups(table)
     order, starts, occ = lb["order"], lb["starts"], lb["occ"]
-    _, actual, offsets = batch.load_columns()
+    _, actual, _ = batch.load_columns()
     n = batch.n_loads
 
     a_s = actual[order]
-    b_s = offsets[order]
     made_lb = ~starts
 
-    # Stride rows first: the unless_stride_correct policy gates LT writes
-    # on the stride component's correctness, which is CFI-independent.
-    srows = stride_rows(cfg.stride, a_s, starts, occ)
+    # The component rows are the stand-alone stride and CAP solves; the
+    # unless_stride_correct policy gates LT writes on the stride
+    # component's correctness, which is CFI-independent (first loads have
+    # no stride prediction, so they always write).
+    srows = shared_stride_rows(batch, table, cfg.stride)
     corr_s = srows["corr"]
-    if cfg.lt_update_policy == UPDATE_UNLESS_STRIDE_CORRECT:
-        update_lt_s = ~corr_s  # first loads have no stride prediction -> True
-    else:
-        update_lt_s = None
-    crows = cap_rows(
-        predictor.cap, batch, a_s, b_s, starts, order, update_lt_s
+    gate = (
+        cfg.stride if cfg.lt_update_policy == UPDATE_UNLESS_STRIDE_CORRECT
+        else None
     )
+    crows = shared_cap_rows(batch, table, predictor.cap, gate)
     made_c = crows["made"]
     corr_c = crows["corr"]
 
@@ -206,7 +232,7 @@ def plan_hybrid(predictor, batch: EventBatch) -> BatchResult:
             ),
         },
     }
-    return BatchResult(address, made, speculative, correct, source, _SOURCES, state)
+    return address, made, speculative, correct, source, state
 
 
 def commit_hybrid(predictor, batch: EventBatch, result: BatchResult) -> None:

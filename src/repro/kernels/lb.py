@@ -28,17 +28,29 @@ import numpy as np
 
 from .segops import seg_last_index_where
 
-__all__ = ["lb_solve", "lb_commit"]
+__all__ = ["overflow_sets", "lb_solve", "lb_commit"]
+
+
+def overflow_sets(table, unique_keys: np.ndarray) -> np.ndarray:
+    """Per set of ``table``: do more distinct keys map there than it has ways?"""
+    index_mask = np.int64((1 << table.index_bits) - 1)
+    set_counts = np.bincount(
+        (unique_keys & index_mask).astype(np.int64), minlength=table.num_sets
+    )
+    return set_counts > table.ways
 
 
 def lb_solve(table, key: np.ndarray) -> dict:
     """Generation-aware grouping of the per-load key sequence.
 
-    Returns the sorted (group, time) layout used by every kernel —
-    ``order``/``starts``/``occ`` as in ``EventBatch.load_groups`` but with
-    one segment per *generation* — plus the per-group arrays and the
+    Returns the sorted (group, time) layout used by every kernel, one
+    segment per *generation* — plus the per-group arrays and the
     placement info :func:`lb_commit` needs:
 
+    * ``order`` — permutation putting loads into (group, time) order;
+    * ``starts``/``ends`` — segment head/tail markers in that layout;
+    * ``occ`` — per sorted position, the load's index within its group
+      (0 for the load that opened the generation);
     * ``group_keys``/``first_load``/``last_load`` — indexed by group id;
     * ``n_normal`` — groups below this id live in never-overflowing sets
       (committed by first-occurrence way fill); the rest were replayed;
@@ -54,13 +66,9 @@ def lb_solve(table, key: np.ndarray) -> dict:
     evictions = 0
 
     u_keys = np.unique(key) if n else np.empty(0, dtype=np.int64)
-    set_counts = np.bincount(
-        (u_keys & np.int64(index_mask)).astype(np.int64),
-        minlength=table.num_sets,
-    )
-    overflow_sets = set_counts > ways
-    if overflow_sets.any():
-        ovf = overflow_sets[(key & np.int64(index_mask)).astype(np.int64)]
+    overflowing = overflow_sets(table, u_keys)
+    if overflowing.any():
+        ovf = overflowing[(key & np.int64(index_mask)).astype(np.int64)]
         normal = ~ovf
         nk = key[normal]
         u_norm, inv = (
@@ -148,25 +156,23 @@ def lb_commit(table, solved: dict, entries: list, total_loads: int) -> None:
     first_load = solved["first_load"]
     last_load = solved["last_load"]
     n_normal = solved["n_normal"]
-    sets = table._sets
+    append_way = table._append_way
+    # The table is fresh, so each set's ways fill in order: normal sets
+    # by first occurrence, replayed sets in their replay's way order.
     fill = np.argsort(first_load[:n_normal], kind="stable")
-    for gid in fill.tolist():
-        k = int(group_keys[gid])
-        index = k & index_mask
-        tag = k >> table.index_bits
-        for way in sets[index]:
-            if way.tag is None:
-                way.tag = tag
-                way.entry = entries[gid]
-                way.lru = 2 * int(last_load[gid]) + 2
-                break
-        else:  # pragma: no cover - normal sets never overflow
-            raise AssertionError("lb_commit overflow in a non-replayed set")
-    for s, wi, gid, last in solved["placed"]:
-        way = sets[s][wi]
-        way.tag = int(group_keys[gid]) >> table.index_bits
-        way.entry = entries[gid]
-        way.lru = 2 * last + 2
+    keys = group_keys[fill]
+    for index, tag, gid, lru in zip(
+        (keys & index_mask).tolist(),
+        (keys >> table.index_bits).tolist(),
+        fill.tolist(),
+        (2 * last_load[fill] + 2).tolist(),
+    ):
+        append_way(index, tag, entries[gid], lru)
+    for s, _wi, gid, last in solved["placed"]:
+        append_way(
+            s, int(group_keys[gid]) >> table.index_bits, entries[gid],
+            2 * last + 2,
+        )
     groups = len(entries)
     table._clock += 2 * total_loads
     table.hits += 2 * total_loads - groups

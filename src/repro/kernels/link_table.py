@@ -126,31 +126,39 @@ def solve_link_table(
         fin_ends[:-1] = fin_starts[1:]
         fin_ends[-1] = True
     last_write = seg_last_index_where(allowed[fin_order], fin_starts)
-    state: dict = {"slots": [], "pf": {}, "pf_table": {}}
+    # One ``(slot, link, tag, pf, stamp)`` way per slot that ends holding
+    # a link or, for PF bits kept in the LT, just its PF bits.  PF bits are
+    # rewritten on every update, allowed or not: the final PF per PF slot
+    # is simply the last update's PF value there.
+    state: dict = {"ways": [], "pf_table": {}}
+    coupled_pf = bool(cfg.pf_bits) and not cfg.pf_decoupled
     if nu:
         at_ends = last_write[fin_ends]
-        live = at_ends >= 0
-        src = fin_order[at_ends[live]]
-        state["slots"] = list(zip(
-            u_slot[fin_order][fin_ends][live].tolist(),
-            u_value[src].tolist(),
-            u_tag[src].tolist(),
-            ordinal[src].tolist(),
-        ))
-    if cfg.pf_bits and nu:
-        # PF bits are rewritten on every update, allowed or not: the final
-        # PF per PF slot is simply the last update's PF value there.
+        src = fin_order[np.maximum(at_ends, 0)]
+        pf_end = (
+            pf_new[fin_order][fin_ends].tolist() if coupled_pf
+            else [None] * len(at_ends)
+        )
+        state["ways"] = [
+            (slot, link, tag, pf, stamp) if live else (slot, None, None, pf, 0)
+            for slot, live, link, tag, pf, stamp in zip(
+                u_slot[fin_order][fin_ends].tolist(),
+                (at_ends >= 0).tolist(),
+                u_value[src].tolist(),
+                u_tag[src].tolist(),
+                pf_end,
+                ordinal[src].tolist(),
+            )
+            if live or coupled_pf
+        ]
+    if cfg.pf_bits and cfg.pf_decoupled and nu:
         pfo, pfs = group_sort(pf_slot)
         pfe = np.empty(nu, dtype=bool)
         pfe[:-1] = pfs[1:]
         pfe[-1] = True
-        final_pf = dict(zip(
+        state["pf_table"] = dict(zip(
             pf_slot[pfo][pfe].tolist(), pf_new[pfo][pfe].tolist()
         ))
-        if cfg.pf_decoupled:
-            state["pf_table"] = final_pf
-        else:
-            state["pf"] = final_pf
 
     return {
         "valid": lk_valid,
@@ -177,15 +185,14 @@ def commit_link_table(table, solved: dict) -> None:
     table.pf_rejections += stats["pf_rejections"]
     table.link_writes += stats["link_writes"]
     table._clock += stats["clock"]
+    from ..predictors.link_table import LinkEntry
+
     state = solved["state"]
-    pf = state["pf"]
-    for slot, value, tag, stamp in state["slots"]:
-        entry = table._sets[slot][0]
-        entry.link = value
-        entry.tag = tag
-        entry.stamp = stamp
-    for slot, pf_value in pf.items():
-        table._sets[slot][0].pf = pf_value
+    # The table is fresh and the solver only runs direct-mapped LTs, so
+    # each record becomes its slot's only way.
+    sets = table._sets
+    for slot, link, tag, pf, stamp in state["ways"]:
+        sets[slot] = [LinkEntry(link, tag, pf, stamp)]
     if table._pf_table is not None:
         for slot, pf_value in state["pf_table"].items():
             table._pf_table[slot] = pf_value

@@ -9,7 +9,10 @@ dirty-loop solver (:func:`repro.kernels.control_flow.resolve_cfi`).
 
 The row solver is shared with the hybrid kernel via :func:`stride_rows`,
 which stops just short of CFI resolution (the hybrid's CFI machines are
-coupled through selector arbitration and resolve jointly).
+coupled through selector arbitration and resolve jointly);
+:func:`shared_stride_rows` memoises it on the batch, so a stand-alone
+stride predictor and a hybrid with the same stride configuration and LB
+grouping solve it once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .control_flow import resolve_cfi, sat_counter_trajectory
 from .lb import lb_commit
 from .segops import seg_last_index_where, seg_shift, seg_streak_before
 
-__all__ = ["stride_rows", "plan_stride", "commit_stride"]
+__all__ = ["stride_rows", "shared_stride_rows", "plan_stride", "commit_stride"]
 
 _SOURCES = ("stride",)
 _MASK32 = np.int64(0xFFFFFFFF)
@@ -115,6 +118,20 @@ def stride_rows(cfg, a_s: np.ndarray, starts: np.ndarray, occ: np.ndarray) -> di
     }
 
 
+def shared_stride_rows(batch: EventBatch, table, cfg):
+    """:func:`stride_rows` of ``cfg`` over ``table``'s LB grouping.
+
+    Memoised on the batch by (grouping, ``cfg``) and read-only.
+    """
+    lb = batch.lb_groups(table)
+
+    def build() -> dict:
+        _, actual, _ = batch.load_columns()
+        return stride_rows(cfg, actual[lb["order"]], lb["starts"], lb["occ"])
+
+    return batch.shared(table, ("stride_rows", cfg), build)
+
+
 def plan_stride(predictor, batch: EventBatch) -> BatchResult:
     cfg = predictor.config
     lb = batch.lb_groups(predictor.table)
@@ -123,7 +140,7 @@ def plan_stride(predictor, batch: EventBatch) -> BatchResult:
     n = batch.n_loads
 
     a_s = actual[order]
-    rows = stride_rows(cfg, a_s, starts, occ)
+    rows = shared_stride_rows(batch, predictor.table, cfg)
     made_s = rows["made"]
 
     if cfg.cfi_mode == CFI_OFF:

@@ -19,7 +19,7 @@ mechanisms live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..common.bitops import bits, mask
 
@@ -67,11 +67,17 @@ class LinkEntry:
 
     __slots__ = ("link", "tag", "pf", "stamp")
 
-    def __init__(self) -> None:
-        self.link: Optional[int] = None  # predicted (base) address or delta
-        self.tag: Optional[int] = None
-        self.pf: Optional[int] = None
-        self.stamp = 0                   # LRU / recency clock
+    def __init__(
+        self,
+        link: Optional[int] = None,
+        tag: Optional[int] = None,
+        pf: Optional[int] = None,
+        stamp: int = 0,
+    ) -> None:
+        self.link = link    # predicted (base) address or delta
+        self.tag = tag
+        self.pf = pf
+        self.stamp = stamp  # LRU / recency clock
 
     @property
     def valid(self) -> bool:
@@ -79,16 +85,22 @@ class LinkEntry:
 
 
 class LinkTable:
-    """History-indexed link storage with tags and PF-gated updates."""
+    """History-indexed link storage with tags and PF-gated updates.
+
+    Ways are allocated on first write: a set holds only the ways an
+    :meth:`update` has claimed so far (an untouched set is the empty
+    tuple), and an update that finds no matching or invalid way claims
+    the next one until the set has ``ways`` of them — the way an eagerly
+    built table would pick — so :meth:`dump` order and statistics match
+    it.
+    """
 
     def __init__(self, config: LinkTableConfig | None = None) -> None:
         self.config = config or LinkTableConfig()
         cfg = self.config
         self.num_sets = cfg.entries // cfg.ways
         self._index_mask = mask(cfg.index_bits)
-        self._sets: List[List[LinkEntry]] = [
-            [LinkEntry() for _ in range(cfg.ways)] for _ in range(self.num_sets)
-        ]
+        self._sets: List[Sequence[LinkEntry]] = [()] * self.num_sets
         self._clock = 0
         # Decoupled PF side table (optional).
         if cfg.pf_decoupled:
@@ -120,6 +132,17 @@ class LinkTable:
             return 0
         return (history >> cfg.index_bits) & mask(cfg.tag_bits)
 
+    def _append_way(self, index: int, entry: LinkEntry) -> LinkEntry:
+        """Allocate ``entry`` as the next way of set ``index``.
+
+        The caller guarantees the set has fewer than ``ways`` ways.
+        """
+        ways = self._sets[index]
+        if not ways:
+            ways = self._sets[index] = []
+        ways.append(entry)  # type: ignore[union-attr]
+        return entry
+
     def _pf_of(self, value: int) -> int:
         cfg = self.config
         return bits(value, cfg.pf_low_bit, cfg.pf_low_bit + cfg.pf_bits)
@@ -137,9 +160,8 @@ class LinkTable:
         ways = self._sets[self._index(history)]
         tag = self._tag(history)
         if self.config.tag_bits == 0:
-            entry = ways[0]
-            if entry.valid:
-                return entry.link, True
+            if ways and ways[0].valid:
+                return ways[0].link, True
             if self.probe is not None:
                 self.probe.lt_miss()
             return None, False
@@ -192,11 +214,13 @@ class LinkTable:
 
         Returns True when the link was actually written (PF permitting).
         """
-        ways = self._sets[self._index(history)]
+        index = self._index(history)
+        ways = self._sets[index]
         tag = self._tag(history)
         self._clock += 1
 
-        # Choose the way: tag match first, then invalid, then LRU victim.
+        # Choose the way: tag match first, then invalid (allocated or
+        # not yet), then LRU victim.
         target: Optional[LinkEntry] = None
         for entry in ways:
             if entry.valid and entry.tag == tag:
@@ -208,7 +232,10 @@ class LinkTable:
                     target = entry
                     break
         if target is None:
-            target = min(ways, key=lambda e: e.stamp)
+            if len(ways) < self.config.ways:
+                target = self._append_way(index, LinkEntry())
+            else:
+                target = min(ways, key=lambda e: e.stamp)
 
         if not self._pf_allows(history, target, value):
             return False
@@ -222,12 +249,7 @@ class LinkTable:
 
     def clear(self) -> None:
         """Invalidate every entry and reset statistics."""
-        for ways in self._sets:
-            for entry in ways:
-                entry.link = None
-                entry.tag = None
-                entry.pf = None
-                entry.stamp = 0
+        self._sets = [()] * self.num_sets
         if self._pf_table is not None:
             self._pf_table = [None] * self.config.pf_table_entries
         self._clock = 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -51,6 +52,9 @@ from ..kernels import (
 )
 from ..predictors.base import AddressPredictor
 from ..trace.trace import PredictorStream, Trace
+
+if TYPE_CHECKING:
+    from ..kernels.batch import PlanScope
 
 __all__ = [
     "PredictionRecord",
@@ -131,6 +135,7 @@ def run_on_columns(
     metrics: PredictorMetrics,
     warmup_loads: int = 0,
     observer: Optional[Callable] = None,
+    scope: Optional["PlanScope"] = None,
 ) -> PredictorMetrics:
     """Columnar fast path: evaluate over a :class:`PredictorStream`.
 
@@ -143,9 +148,10 @@ def run_on_columns(
     4-tuple per event alive, and the correctness counters accumulate in
     locals (folded into ``metrics`` once at the end) instead of paying a
     method call per dynamic load.  ``metrics.backend`` records which path
-    actually ran.
+    actually ran.  ``scope`` (offline engine jobs) shares kernel plans
+    among the runs on one stream; see :func:`repro.kernels.run_batch`.
     """
-    if try_run_batch(predictor, stream, metrics, warmup_loads, observer):
+    if try_run_batch(predictor, stream, metrics, warmup_loads, observer, scope):
         return metrics
     predict = predictor.predict
     update = predictor.update

@@ -1,8 +1,11 @@
 """Tests for the Link Table: tags, PF bits, associativity (Sections 3.4-3.5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.predictors.link_table import LinkTable, LinkTableConfig
+from repro.predictors.link_table import LinkEntry, LinkTable, LinkTableConfig
+from repro.telemetry.instrumentation import AttributionProbe
 
 
 def small_lt(**overrides):
@@ -170,3 +173,80 @@ class TestPFBits:
         lt.update(5, 0x2010)
         lt.update(5, 0x2010)
         assert lt.link_writes == 1
+
+
+def _eager(lt):
+    """Allocate every way up front: the layout before lazy allocation."""
+    lt._sets = [
+        [LinkEntry() for _ in range(lt.config.ways)]
+        for _ in range(lt.num_sets)
+    ]
+    return lt
+
+
+def _observable(lt):
+    return (lt.dump(), lt.occupancy(), lt.lookups, lt.tag_mismatches,
+            lt.pf_rejections, lt.link_writes, lt._clock,
+            None if lt._pf_table is None else list(lt._pf_table))
+
+
+_LT_CONFIGS = [
+    dict(entries=16, ways=1, tag_bits=0, pf_bits=0),
+    dict(entries=16, ways=1, tag_bits=3, pf_bits=2),
+    dict(entries=16, ways=4, tag_bits=3, pf_bits=2),
+    dict(entries=16, ways=2, tag_bits=2, pf_bits=2, pf_decoupled=True,
+         pf_table_entries=64),
+]
+
+#: Scripted updates/lookups over histories that collide in a small LT,
+#: with values whose PF bits (bits 2..3) repeat often.
+_LT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), st.integers(0, 255),
+                  st.sampled_from([0x10, 0x14, 0x20, 0x24, 0x30])),
+        st.tuples(st.just("lookup"), st.integers(0, 255), st.just(0)),
+        st.just(("clear", 0, 0)),
+    ),
+    max_size=80,
+)
+
+
+class TestLazySets:
+    def test_fresh_table_allocates_no_ways(self):
+        lt = LinkTable()
+        assert all(len(ways) == 0 for ways in lt._sets)
+        assert lt.dump() == [] and lt.occupancy() == 0
+
+    def test_untagged_lookup_on_unwritten_set_is_a_miss(self):
+        lt = small_lt(tag_bits=0)
+        probe = AttributionProbe()
+        lt.probe = probe
+        assert lt.lookup(5) == (None, False)
+        assert probe.lt_misses == 1
+        assert lt.lookups == 1 and lt.tag_mismatches == 0
+        assert all(len(ways) == 0 for ways in lt._sets)
+
+    def test_update_allocates_only_the_way_it_claims(self):
+        lt = small_lt(ways=2, tag_bits=2)
+        lt.update(3, 0x10)
+        assert [i for i, ways in enumerate(lt._sets) if ways] == [3]
+        assert len(lt._sets[3]) == 1
+        lt.clear()
+        assert all(len(ways) == 0 for ways in lt._sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(range(len(_LT_CONFIGS))), _LT_OPS)
+    def test_matches_eager_layout(self, which, ops):
+        config = LinkTableConfig(**_LT_CONFIGS[which])
+        lazy, eager = LinkTable(config), _eager(LinkTable(config))
+        lazy.probe, eager.probe = AttributionProbe(), AttributionProbe()
+        for op, history, value in ops:
+            if op == "update":
+                assert lazy.update(history, value) == eager.update(history, value)
+            elif op == "lookup":
+                assert lazy.lookup(history) == eager.lookup(history)
+            else:
+                lazy.clear()
+                eager.clear()
+            assert _observable(lazy) == _observable(eager)
+            assert lazy.probe.as_dict() == eager.probe.as_dict()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.tables import DirectMappedTable, SetAssociativeTable
+from repro.common.tables import DirectMappedTable, SetAssociativeTable, _Way
 
 
 class TestSetAssociativeTable:
@@ -166,3 +166,75 @@ class TestDirectMappedTable:
             model[key] = value
         for slot in range(8):
             assert t.lookup(slot) == model[slot]
+
+
+def _eager(table):
+    """Allocate every way up front: the layout before lazy allocation."""
+    table._sets = [
+        [_Way() for _ in range(table.ways)] for _ in range(table.num_sets)
+    ]
+    return table
+
+
+#: Scripted SetAssociativeTable operations over a few colliding keys.
+_TABLE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["insert", "lookup", "peek", "invalidate",
+                                   "get_or_insert"]),
+                  st.integers(0, 40)),
+        st.just(("clear", 0)),
+    ),
+    max_size=80,
+)
+
+
+def _apply(table, op, key, step):
+    if op == "insert":
+        return table.insert(key, (key, step))
+    if op == "lookup":
+        return table.lookup(key)
+    if op == "peek":
+        return table.peek(key)
+    if op == "invalidate":
+        return table.invalidate(key)
+    if op == "get_or_insert":
+        return table.get_or_insert(key, lambda: (key, step))
+    return table.clear()
+
+
+def _observable(table):
+    return (list(table), table.occupancy(), table.hits, table.misses,
+            table.evictions, table._clock)
+
+
+class TestLazySets:
+    def test_fresh_table_allocates_no_ways(self):
+        t = SetAssociativeTable(4096, 2)
+        assert all(len(ways) == 0 for ways in t._sets)
+        assert t.lookup(123) is None and t.peek(123) is None
+        assert not t.invalidate(123)
+        assert t.occupancy() == 0 and list(t) == []
+        assert all(len(ways) == 0 for ways in t._sets)
+
+    def test_insert_allocates_only_the_way_it_fills(self):
+        t = SetAssociativeTable(64, 4)
+        t.insert(5, "a")
+        t.insert(5 + 16, "b")
+        assert [i for i, ways in enumerate(t._sets) if ways] == [5]
+        assert [w.entry for w in t._sets[5]] == ["a", "b"]
+
+    def test_clear_releases_sets(self):
+        t = SetAssociativeTable(64, 4)
+        for key in range(40):
+            t.insert(key, key)
+        t.clear()
+        assert all(len(ways) == 0 for ways in t._sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(16, 1), (16, 2), (32, 4), (8, 8)]), _TABLE_OPS)
+    def test_matches_eager_layout(self, geometry, ops):
+        lazy = SetAssociativeTable(*geometry)
+        eager = _eager(SetAssociativeTable(*geometry))
+        for step, (op, key) in enumerate(ops):
+            assert _apply(lazy, op, key, step) == _apply(eager, op, key, step)
+            assert _observable(lazy) == _observable(eager)
