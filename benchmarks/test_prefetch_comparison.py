@@ -12,6 +12,7 @@ combining them never hurts much.
 from conftest import run_once
 
 from repro.predictors import HybridPredictor
+from repro.serve.session import predict_loads
 from repro.timing import StridePrefetcher, simulate
 from repro.workloads import suites
 
@@ -21,13 +22,13 @@ def _sweep(trace_set, instr):
     for name in trace_set:
         trace = suites.get_trace(name, instr)
         base = simulate(trace)
+        outcomes = predict_loads(HybridPredictor(), trace.predictor_columns())
         rows[name] = {
             "prefetch": base.cycles / simulate(
                 trace, prefetcher=StridePrefetcher()).cycles,
-            "predict": base.cycles / simulate(
-                trace, HybridPredictor()).cycles,
+            "predict": base.cycles / simulate(trace, outcomes).cycles,
             "both": base.cycles / simulate(
-                trace, HybridPredictor(), prefetcher=StridePrefetcher()
+                trace, outcomes, prefetcher=StridePrefetcher()
             ).cycles,
         }
     return rows

@@ -9,9 +9,9 @@ out-of-order timing model at a gap of 8.
 Run:  python examples/pipeline_effects.py
 """
 
-from repro.eval.runner import run_predictor
 from repro.pipeline import PipelinedPredictor
 from repro.predictors import HybridPredictor
+from repro.serve.session import predict_loads, run_predictor
 from repro.timing import simulate, speedup
 from repro.workloads import ArraySumWorkload, ListEvalWorkload, trace_workload
 
@@ -46,9 +46,13 @@ def main() -> None:
     print("End-to-end speedup (out-of-order timing model)")
     print(f"{'workload':<20}{'immediate':>12}{'gap 8':>12}")
     for label, trace in traces.items():
+        columns = trace.predictor_columns()
         base = simulate(trace)
-        imm = simulate(trace, HybridPredictor())
-        piped = simulate(trace, PipelinedPredictor(HybridPredictor(), 8))
+        imm = simulate(trace, predict_loads(HybridPredictor(), columns))
+        piped = simulate(
+            trace,
+            predict_loads(PipelinedPredictor(HybridPredictor(), 8), columns),
+        )
         print(
             f"{label:<20}{speedup(base, imm):>11.3f}x"
             f"{speedup(base, piped):>11.3f}x"

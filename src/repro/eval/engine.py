@@ -58,7 +58,7 @@ from ..trace.trace import PredictorStream, Trace
 from ..workloads import suites as suite_registry
 from . import config as run_config
 from .metrics import AttributionCounters, PredictorMetrics
-from ..serve.session import run_on_columns
+from ..serve.session import predict_loads, run_on_columns
 
 __all__ = [
     "FACTORIES",
@@ -119,8 +119,10 @@ class Job:
     ``factory`` names an entry of :data:`FACTORIES`; ``None`` is only
     meaningful for ``kind="timing"`` and simulates the no-prediction
     baseline.  ``gap`` (when not ``None``) wraps the predictor in
-    :class:`~repro.pipeline.delayed.PipelinedPredictor` — note ``gap=0``
-    still wraps, matching the immediate-update end of the Figure 11 sweep.
+    :class:`~repro.pipeline.delayed.PipelinedPredictor`.  ``gap=0`` wraps
+    too (the immediate-update end of the Figure 11 sweep); that wrapper
+    behaves exactly like its inner predictor and takes the batch kernels
+    wherever the inner predictor does.
     ``variant`` labels the result for merging; ``capture_selector`` ships
     the hybrid's Figure 8 selector statistics back with the metrics.
 
@@ -259,13 +261,16 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
     if job.kind == KIND_TIMING:
         trace = _memoized_trace(job.trace, job.instructions)
         aux["events"] = len(trace)
-        predictor = build_predictor(job) if job.factory is not None else None
-        probe = None
-        if job.instrument and predictor is not None:
-            probe = AttributionProbe()
-            aux["probe"] = probe
-            instrument_predictor(predictor, probe)
-        timing = simulate(trace, predictor, job.machine)
+        outcomes = None
+        if job.factory is not None:
+            predictor = build_predictor(job)
+            if job.instrument:
+                aux["probe"] = AttributionProbe()
+                instrument_predictor(predictor, aux["probe"])
+            outcomes = predict_loads(
+                predictor, trace.predictor_columns(), _PLAN_SCOPE.get()
+            )
+        timing = simulate(trace, outcomes, job.machine)
         aux["loads"] = timing.loads
         return JobResult(
             variant=job.variant, trace=job.trace,

@@ -7,21 +7,24 @@ a whole :class:`~repro.trace.trace.PredictorStream` per predictor in a
 handful of numpy operations plus short Python loops over rare sequential
 stretches (CFI dirty periods, per-key state commits).
 
-Entry point: :func:`try_run_batch`, called by ``run_on_columns`` in
-:mod:`repro.serve.session` (the loop offline jobs and served sessions
-share).  It dispatches to a predictor's ``predict_batch``/
-``update_batch`` kernel when
+Entry point: :func:`dispatch_batch`, the one dispatch rule.  It runs a
+predictor's ``predict_batch``/``update_batch`` kernel when
 
-* the resolved backend is ``numpy`` (``REPRO_BACKEND`` / ``--backend``),
 * the predictor advertises ``supports_batch`` and is not in the pipelined
-  ``speculative_mode``, and
+  ``speculative_mode`` (a :class:`~repro.pipeline.PipelinedPredictor`
+  advertises it at gap 0 only, where it is its inner predictor),
+* the resolved backend is ``numpy`` (``REPRO_BACKEND`` / ``--backend``),
+  and
 * no per-access observer is attached (the differential harness has its
   own record-reconstruction entry point, :func:`batch_records`),
 
-and falls back to the scalar reference when the kernel raises
+and leaves the scalar reference to the caller when the kernel raises
 :class:`BatchFallback` (configurations with genuinely sequential table
 dynamics, e.g. an overflowing load-buffer set or a set-associative LT).
-Either way the metrics record which backend actually ran.
+Its callers are :func:`try_run_batch` (``run_on_columns``, which folds
+the result into metrics and records which backend actually ran) and
+``predict_loads`` (the per-load outcome columns the timing model
+consumes), both in :mod:`repro.serve.session`.
 
 Each dispatch plans over an :class:`~repro.kernels.batch.EventBatch` of
 the stream.  Without a scope every call builds its own (a served feed);
@@ -58,6 +61,7 @@ __all__ = [
     "record_dispatch",
     "resolve_backend",
     "supports_batch",
+    "dispatch_batch",
     "try_run_batch",
     "run_batch",
     "batch_records",
@@ -66,7 +70,7 @@ __all__ = [
 
 def supports_batch(predictor) -> bool:
     """Whether ``predictor`` can be evaluated by a batch kernel at all."""
-    return bool(getattr(type(predictor), "supports_batch", False)) and not getattr(
+    return bool(getattr(predictor, "supports_batch", False)) and not getattr(
         predictor, "speculative_mode", False
     )
 
@@ -112,6 +116,29 @@ def _record_plan_share(reused: bool) -> None:
     global_registry().counter(f"kernels.plan_share.{outcome}").inc()
 
 
+def dispatch_batch(
+    predictor,
+    stream,
+    observer: Optional[Callable] = None,
+    scope: Optional["PlanScope"] = None,
+) -> Optional[BatchResult]:
+    """The kernel-dispatch rule; the batch result, or ``None`` for scalar.
+
+    Records one ``declined``/``fallback``/``dispatched`` tally for the
+    run (:func:`record_dispatch`).  ``scope`` is handed to
+    :func:`run_batch`.
+    """
+    if observer is not None or not supports_batch(predictor):
+        record_dispatch(predictor, "declined")
+        return None
+    if resolve_backend() != BACKEND_NUMPY:
+        record_dispatch(predictor, "declined")
+        return None
+    result = run_batch(predictor, stream, scope=scope)
+    record_dispatch(predictor, "fallback" if result is None else "dispatched")
+    return result
+
+
 def try_run_batch(
     predictor,
     stream,
@@ -123,20 +150,11 @@ def try_run_batch(
     """Kernel dispatch for ``run_on_columns``.
 
     Returns True when the batch path ran (metrics fully folded); False
-    when the caller must run the scalar loop.  ``scope`` is handed to
-    :func:`run_batch`.
+    when the caller must run the scalar loop.
     """
-    if observer is not None or not supports_batch(predictor):
-        record_dispatch(predictor, "declined")
-        return False
-    if resolve_backend() != BACKEND_NUMPY:
-        record_dispatch(predictor, "declined")
-        return False
-    result = run_batch(predictor, stream, warmup_loads, scope)
+    result = dispatch_batch(predictor, stream, observer, scope)
     if result is None:
-        record_dispatch(predictor, "fallback")
         return False
-    record_dispatch(predictor, "dispatched")
     fold_metrics(result, metrics, warmup_loads)
     metrics.backend = BACKEND_NUMPY
     return True

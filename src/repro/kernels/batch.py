@@ -151,6 +151,7 @@ class EventBatch:
         whose LRU replay is solved on its own.
         """
         from .lb import overflow_sets
+        from .segops import sorted_unique
 
         shape = (table.index_bits, table.ways)
         found = self._grouping.get(shape)
@@ -158,7 +159,7 @@ class EventBatch:
             if self._lb_keys is None:
                 ips, _, _ = self.load_columns()
                 key = ips >> 2
-                self._lb_keys = freeze((key, np.unique(key)))
+                self._lb_keys = freeze((key, sorted_unique(key)))
             found = (
                 shape if overflow_sets(table, self._lb_keys[1]).any()
                 else "flat"

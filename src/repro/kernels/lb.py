@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .segops import seg_last_index_where
+from .segops import seg_last_index_where, sorted_unique
 
 __all__ = ["overflow_sets", "lb_solve", "lb_commit"]
 
@@ -65,7 +65,7 @@ def lb_solve(table, key: np.ndarray) -> dict:
     placed: list = []
     evictions = 0
 
-    u_keys = np.unique(key) if n else np.empty(0, dtype=np.int64)
+    u_keys = sorted_unique(key)
     overflowing = overflow_sets(table, u_keys)
     if overflowing.any():
         ovf = overflowing[(key & np.int64(index_mask)).astype(np.int64)]

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "group_sort",
     "segment_starts",
+    "sorted_unique",
     "seg_shift",
     "seg_last_index_where",
     "seg_exclusive_cumsum",
@@ -52,6 +53,17 @@ def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
         starts[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
     return starts
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a 1-d array, by sort and segment heads.
+
+    ``np.unique`` without index or count outputs imports ``numpy.ma`` on
+    its first call (about 2 MB of resident memory for one
+    ``is_masked`` check); the kernels never see masked arrays.
+    """
+    ordered = np.sort(values)
+    return ordered[segment_starts(ordered)]
 
 
 def seg_shift(values: np.ndarray, starts: np.ndarray, fill) -> np.ndarray:

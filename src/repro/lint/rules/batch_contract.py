@@ -11,7 +11,8 @@ scalar speed, and no test notices).
 
 This rule requires any class defining one side of the contract to define
 all of it: ``predict_batch`` and ``update_batch`` together, plus a
-``supports_batch`` declaration in the same class body.
+``supports_batch`` declaration in the same class body — a class
+attribute, or a ``@property`` when support depends on the instance.
 """
 
 from __future__ import annotations
@@ -36,7 +37,15 @@ def _method(body: list, name: str) -> Optional[ast.AST]:
 
 def _declares_flag(body: list) -> bool:
     for stmt in body:
-        if isinstance(stmt, ast.Assign):
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == FLAG_NAME:
+            # A property computing the flag per instance (a wrapper that
+            # supports batches only in some configurations).
+            if any(
+                isinstance(d, ast.Name) and d.id == "property"
+                for d in stmt.decorator_list
+            ):
+                return True
+        elif isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, ast.Name) and target.id == FLAG_NAME:
                     return True

@@ -13,7 +13,9 @@ semantics without any crash).
 For every module (or class) defining **both** functions, the rule
 compares the sets of attribute chains read off the first parameter
 (``predictor.predict``, ``predictor.config.gap``, ...) and reports any
-asymmetry against the function that lacks the access.
+asymmetry against the function that lacks the access.  A loop factored
+into a helper of the same scope still counts: the reads of a helper
+called with the parameter as its first argument join the caller's.
 """
 
 from __future__ import annotations
@@ -57,10 +59,39 @@ def _param_reads(function: ast.FunctionDef, param: str) -> Set[str]:
     }
 
 
+def _reads_through(
+    function: ast.FunctionDef,
+    param: str,
+    scope: Dict[str, ast.FunctionDef],
+    seen: Optional[Set[str]] = None,
+) -> Set[str]:
+    """:func:`_param_reads`, plus those of same-scope helpers handed ``param``."""
+    seen = (seen or set()) | {function.name}
+    reads = _param_reads(function, param)
+    for node in ast.walk(function):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in scope
+            and node.func.id not in seen
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == param
+        ):
+            continue
+        helper = scope[node.func.id]
+        helper_param = _first_param(helper)
+        if helper_param is not None:
+            reads |= _reads_through(helper, helper_param, scope, seen)
+    return reads
+
+
 def _collect_pairs(
     module: ModuleInfo,
-) -> Iterator[Tuple[str, ast.FunctionDef, ast.FunctionDef]]:
-    """(scope label, stream fn, columns fn) for module and class scopes."""
+) -> Iterator[
+    Tuple[str, ast.FunctionDef, ast.FunctionDef, Dict[str, ast.FunctionDef]]
+]:
+    """(scope label, stream fn, columns fn, scope functions) per scope."""
     scopes: List[Tuple[str, List[ast.stmt]]] = [("module", module.tree.body)]
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ClassDef):
@@ -72,7 +103,10 @@ def _collect_pairs(
             if isinstance(stmt, ast.FunctionDef)
         }
         if STREAM_NAME in functions and COLUMNS_NAME in functions:
-            yield label, functions[STREAM_NAME], functions[COLUMNS_NAME]
+            yield (
+                label, functions[STREAM_NAME], functions[COLUMNS_NAME],
+                functions,
+            )
 
 
 @register
@@ -86,13 +120,13 @@ class StreamColumnsParityRule(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for _, stream_fn, columns_fn in _collect_pairs(module):
+        for _, stream_fn, columns_fn, scope in _collect_pairs(module):
             stream_param = _first_param(stream_fn)
             columns_param = _first_param(columns_fn)
             if stream_param is None or columns_param is None:
                 continue
-            stream_reads = _param_reads(stream_fn, stream_param)
-            columns_reads = _param_reads(columns_fn, columns_param)
+            stream_reads = _reads_through(stream_fn, stream_param, scope)
+            columns_reads = _reads_through(columns_fn, columns_param, scope)
             for missing in sorted(stream_reads - columns_reads):
                 yield self.finding(
                     module,

@@ -15,6 +15,13 @@ multiple-pending-predictions regime of Section 5.2.
   all live inside the component logic);
 * updates are queued and applied ``gap`` loads late;
 * a ``gap`` of 0 degenerates to the immediate model of Section 4.
+
+At gap 0 the wrapper leaves ``speculative_mode`` off, updates at once and
+never consults its g-share, so it *is* its inner predictor: it advertises
+the inner predictor's batch support and delegates ``predict_batch``/
+``update_batch`` to it, and gap-0 runs take the kernels through the
+ordinary dispatch rule (:func:`repro.kernels.dispatch_batch`).  Every
+real gap keeps ``speculative_mode`` on and so stays on the scalar path.
 """
 
 from __future__ import annotations
@@ -80,6 +87,21 @@ class PipelinedPredictor(AddressPredictor):
         """Apply all still-queued updates (end of trace)."""
         while self._queue:
             self.inner.update(*self._queue.popleft())
+
+    # -- batch kernels: gap 0 is the inner predictor ----------------------
+
+    @property
+    def supports_batch(self) -> bool:
+        """Batch support of the inner predictor, at gap 0 only."""
+        return self.gap == 0 and bool(
+            getattr(self.inner, "supports_batch", False)
+        )
+
+    def predict_batch(self, batch):
+        return self.inner.predict_batch(batch)
+
+    def update_batch(self, batch, result) -> None:
+        self.inner.update_batch(batch, result)
 
     # -- control-flow notifications are forwarded ---------------------------
 

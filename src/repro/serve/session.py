@@ -44,10 +44,9 @@ from ..kernels import (
     BACKEND_NUMPY,
     BACKEND_PYTHON,
     batch_records,
+    dispatch_batch,
+    fold_metrics,
     record_dispatch,
-    resolve_backend,
-    run_batch,
-    supports_batch,
     try_run_batch,
 )
 from ..predictors.base import AddressPredictor
@@ -60,6 +59,7 @@ __all__ = [
     "PredictionRecord",
     "PredictorSession",
     "SessionConfig",
+    "predict_loads",
     "run_on_columns",
     "run_on_stream",
     "run_predictor",
@@ -153,6 +153,17 @@ def run_on_columns(
     """
     if try_run_batch(predictor, stream, metrics, warmup_loads, observer, scope):
         return metrics
+    return _scalar_columns(predictor, stream, metrics, warmup_loads, observer)
+
+
+def _scalar_columns(
+    predictor: AddressPredictor,
+    stream: PredictorStream,
+    metrics: PredictorMetrics,
+    warmup_loads: int,
+    observer: Optional[Callable],
+) -> PredictorMetrics:
+    """The scalar reference loop of :func:`run_on_columns`."""
     predict = predictor.predict
     update = predictor.update
     on_branch = predictor.on_branch
@@ -194,6 +205,38 @@ def run_on_columns(
     metrics.speculative += speculative
     metrics.correct_speculative += correct_speculative
     return metrics
+
+
+def predict_loads(
+    predictor: AddressPredictor,
+    stream: PredictorStream,
+    scope: Optional["PlanScope"] = None,
+) -> Tuple[List[bool], List[bool]]:
+    """Per-load ``(speculative, correct)`` columns of one immediate run.
+
+    The outcome pass the timing model consumes
+    (:func:`repro.timing.ooo.simulate`): entry ``i`` says whether the
+    ``i``-th dynamic load of ``stream`` made a speculative access and
+    whether its predicted address matched.  Timing never feeds back into
+    a prediction (a pipelined predictor counts its gap in loads and
+    flushes on its own g-share), so the columns can be computed before
+    scheduling.  Dispatches by :func:`repro.kernels.dispatch_batch` like
+    :func:`run_on_columns`, with ``scope`` sharing kernel plans; the
+    scalar path is that function's loop with a recording observer.  The
+    predictor ends trained on the whole stream either way.
+    """
+    result = dispatch_batch(predictor, stream, scope=scope)
+    if result is not None:
+        return result.speculative.tolist(), result.correct.tolist()
+    speculative: List[bool] = []
+    correct: List[bool] = []
+
+    def _record(ip: int, offset: int, actual: int, prediction: Any) -> None:
+        speculative.append(prediction.speculative)
+        correct.append(prediction.address == actual)
+
+    _scalar_columns(predictor, stream, PredictorMetrics(), 0, _record)
+    return speculative, correct
 
 
 def run_predictor(
@@ -364,21 +407,6 @@ class PredictorSession:
         """Backend that actually ran: ``numpy`` iff a kernel dispatch did."""
         return BACKEND_NUMPY if self.kernel_feeds else BACKEND_PYTHON
 
-    def _kernel_eligible(self, observer: Optional[Callable]) -> bool:
-        """Whether this feed may go to the batch kernels.
-
-        Batch kernels replay a whole stream against an *untrained*
-        predictor, so only the very first feed of a session qualifies;
-        per-access observers force the scalar loop (same rule as
-        :func:`repro.kernels.try_run_batch`).
-        """
-        return (
-            self.feeds == 0
-            and observer is None
-            and supports_batch(self.predictor)
-            and resolve_backend() == BACKEND_NUMPY
-        )
-
     # -- the facade ----------------------------------------------------------
 
     def feed(
@@ -403,22 +431,17 @@ class PredictorSession:
             stream = None
             tuples = list(events)
 
+        # Batch kernels replay a whole stream against an *untrained*
+        # predictor, so only the first feed of a session may take them.
         records: Optional[List[PredictionRecord]] = None
-        if not self._kernel_eligible(observer):
+        if self.feeds:
             record_dispatch(self.predictor, "declined")
         else:
             if stream is None:
                 assert tuples is not None
                 stream = _columns_of(tuples)
-            result = run_batch(
-                self.predictor, stream, self.config.warmup_loads
-            )
-            if result is None:
-                record_dispatch(self.predictor, "fallback")
-            else:
-                from ..kernels import fold_metrics
-
-                record_dispatch(self.predictor, "dispatched")
+            result = dispatch_batch(self.predictor, stream, observer)
+            if result is not None:
                 fold_metrics(
                     result, self.metrics, self.config.warmup_loads
                 )

@@ -9,20 +9,20 @@ than the authors' proprietary simulator, but it captures the two effects
 address prediction trades in: hidden load latency on correct speculative
 accesses and recovery cost on wrong ones (see DESIGN.md).
 
-Address prediction plugs in as any :class:`~repro.predictors.base.
-AddressPredictor` (optionally wrapped in
-:class:`~repro.pipeline.PipelinedPredictor` for the Section 5 experiments).
+Address prediction enters as per-load outcome columns computed before
+scheduling (:func:`repro.serve.session.predict_loads`): no prediction
+depends on timing, so the model consumes columns and never calls a
+predictor.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from ..isa.instructions import NUM_REGISTERS
 from ..pipeline.branch import BranchPredictor
-from ..predictors.base import AddressPredictor
 from ..trace.event import (
     KIND_BRANCH,
     KIND_CALL,
@@ -30,6 +30,7 @@ from ..trace.event import (
     KIND_LOAD,
     KIND_RET,
     KIND_STORE,
+    LOAD_KINDS,
 )
 from ..trace.trace import Trace
 from .cache import CacheHierarchy
@@ -65,28 +66,34 @@ class TimingResult:
 
 def simulate(
     trace: Trace,
-    predictor: Optional[AddressPredictor] = None,
+    outcomes: Optional[Tuple[Sequence[bool], Sequence[bool]]] = None,
     config: Optional[MachineConfig] = None,
     prefetcher=None,
-    probe=None,
 ) -> TimingResult:
     """Run the timing model over ``trace``.
 
-    With ``predictor`` given, every dynamic load is predicted; correct
-    speculative accesses hide ``config.prediction_lead`` cycles of their
-    latency, wrong ones pay ``config.recovery_penalty`` extra.  With
-    ``prefetcher`` given (see :mod:`repro.timing.prefetch`), every load
-    also trains it and prefetches land in the cache hierarchy.  With
-    ``probe`` given (a :class:`repro.telemetry.Instrumentation`), the
-    predictor tree emits attribution events into it while timing runs.
+    ``outcomes`` is a ``(speculative, correct)`` pair of per-load columns
+    (:func:`repro.serve.session.predict_loads`), one entry per dynamic
+    load in program order; a :class:`ValueError` is raised when their
+    length is not the trace's load count.  Correct speculative accesses
+    hide ``config.prediction_lead`` cycles of their latency, wrong ones
+    pay ``config.recovery_penalty`` extra; without ``outcomes`` no load
+    speculates.  With ``prefetcher`` given (see
+    :mod:`repro.timing.prefetch`), every load also trains it and
+    prefetches land in the cache hierarchy.
     """
     cfg = config or MachineConfig()
-    if probe is not None and predictor is not None:
-        # Imported lazily: the timing layer stays telemetry-free unless a
-        # probe is actually requested.
-        from ..telemetry.instrumentation import instrument_predictor
-
-        instrument_predictor(predictor, probe)
+    kinds = trace.kind
+    speculative: Optional[Sequence[bool]] = None
+    correct: Sequence[bool] = ()
+    if outcomes is not None:
+        speculative, correct = outcomes
+        loads = sum(kinds.count(kind) for kind in LOAD_KINDS)
+        if len(speculative) != loads or len(correct) != loads:
+            raise ValueError(
+                f"outcome columns hold {len(speculative)}/{len(correct)}"
+                f" entries for a trace of {loads} loads"
+            )
     caches = CacheHierarchy(
         l1_latency=cfg.l1_latency,
         l2_latency=cfg.l2_latency,
@@ -101,35 +108,33 @@ def simulate(
     cycle = 0                            # current fetch/dispatch cycle
     issued = 0                           # instructions issued this cycle
     mem_issued = 0                       # memory ops issued this cycle
+    load = 0                             # dynamic loads seen so far
+    speculative_correct = speculative_wrong = 0
+    width = cfg.width
+    window_size = cfg.window
     alu_latency = cfg.alu_latency
     memory_ports = cfg.memory_ports
+    prediction_lead = cfg.prediction_lead
+    recovery_penalty = cfg.recovery_penalty
     _MEMORY_KINDS = (KIND_LOAD, KIND_RET, KIND_STORE, KIND_CALL)
 
-    kinds = trace.kind
     ips = trace.ip
     addrs = trace.addr
-    offsets = trace.offset
     dsts = trace.dst
     src1s = trace.src1
     src2s = trace.src2
     takens = trace.taken
-
-    predict = predictor.predict if predictor is not None else None
-    update = predictor.update if predictor is not None else None
-    on_branch = predictor.on_branch if predictor is not None else None
-    on_call = predictor.on_call if predictor is not None else None
-    on_return = predictor.on_return if predictor is not None else None
 
     for i in range(len(kinds)):
         kind = kinds[i]
         is_memory_op = kind in _MEMORY_KINDS
 
         # -- structural constraints: width, ports, window ----------------
-        if issued >= cfg.width or (is_memory_op and mem_issued >= memory_ports):
+        if issued >= width or (is_memory_op and mem_issued >= memory_ports):
             cycle += 1
             issued = 0
             mem_issued = 0
-        if len(window) >= cfg.window:
+        if len(window) >= window_size:
             oldest = window.popleft()
             if oldest > cycle:
                 cycle = oldest
@@ -154,37 +159,27 @@ def simulate(
             latency = caches.access(addr)
             if prefetcher is not None:
                 prefetcher.observe(ips[i], addr, caches)
-            if predict is not None:
-                result.loads += 1
-                prediction = predict(ips[i], offsets[i])
-                if prediction.speculative:
-                    if prediction.address == addr:
-                        result.speculative_correct += 1
-                        latency = max(1, latency - cfg.prediction_lead)
-                    else:
-                        result.speculative_wrong += 1
-                        latency += cfg.recovery_penalty
-                update(ips[i], offsets[i], addr, prediction)
-            else:
-                result.loads += 1
+            if speculative is not None and speculative[load]:
+                if correct[load]:
+                    speculative_correct += 1
+                    latency = max(1, latency - prediction_lead)
+                else:
+                    speculative_wrong += 1
+                    latency += recovery_penalty
+            load += 1
             completion = operands + latency
             dst = dsts[i]
             if dst >= 0:
                 ready[dst] = completion
-            if kind == KIND_RET and on_return is not None:
-                on_return(ips[i])
         elif kind == KIND_STORE or kind == KIND_CALL:
             completion = operands + alu_latency
             store_avail[addrs[i]] = completion
             dst = dsts[i]
             if dst >= 0:
                 ready[dst] = completion
-            if kind == KIND_CALL and on_call is not None:
-                on_call(ips[i])
         elif kind == KIND_BRANCH:
             completion = operands + alu_latency
-            taken = bool(takens[i])
-            if not branch_predictor.update(ips[i], taken):
+            if not branch_predictor.update(ips[i], bool(takens[i])):
                 result.branch_mispredicts += 1
                 # Redirect: fetch resumes after resolution plus penalty.
                 redirect = completion + cfg.branch_penalty
@@ -192,8 +187,6 @@ def simulate(
                     cycle = redirect
                     issued = 0
                     mem_issued = 0
-            if on_branch is not None:
-                on_branch(ips[i], taken)
         elif kind == KIND_JUMP:
             completion = operands + alu_latency
         else:  # ALU
@@ -207,6 +200,9 @@ def simulate(
     # Drain: the last instruction's retirement bounds total cycles.
     final = max(window) if window else cycle
     result.cycles = max(cycle, final)
+    result.loads = load
+    result.speculative_correct = speculative_correct
+    result.speculative_wrong = speculative_wrong
     result.l1_hit_rate = caches.l1.hit_rate
     result.meta = {
         "branch_accuracy": branch_predictor.accuracy,

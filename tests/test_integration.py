@@ -13,6 +13,7 @@ from repro.predictors import (
     StrideConfig,
     StridePredictor,
 )
+from repro.serve.session import predict_loads
 from repro.timing import simulate, speedup
 from repro.workloads import (
     ArraySumWorkload,
@@ -139,7 +140,10 @@ class TestSection5Claims:
 
     def test_pipelined_predictor_still_speeds_up(self, rds_trace):
         base = simulate(rds_trace)
-        pred = simulate(rds_trace, PipelinedPredictor(HybridPredictor(), 8))
+        pred = simulate(rds_trace, predict_loads(
+            PipelinedPredictor(HybridPredictor(), 8),
+            rds_trace.predictor_columns(),
+        ))
         assert speedup(base, pred) > 1.02
 
 
@@ -156,9 +160,13 @@ class TestRDSSpeedupClaim:
             max_instructions=40_000,
         )
         list_speedup = speedup(
-            simulate(list_trace), simulate(list_trace, HybridPredictor())
+            simulate(list_trace),
+            simulate(list_trace, predict_loads(
+                HybridPredictor(), list_trace.predictor_columns())),
         )
         arr_speedup = speedup(
-            simulate(arr_trace), simulate(arr_trace, HybridPredictor())
+            simulate(arr_trace),
+            simulate(arr_trace, predict_loads(
+                HybridPredictor(), arr_trace.predictor_columns())),
         )
         assert list_speedup > arr_speedup

@@ -51,6 +51,8 @@ from repro.predictors.gshare_address import (
 from repro.predictors.hybrid import HybridConfig, HybridPredictor
 from repro.predictors.last_address import LastAddressConfig, LastAddressPredictor
 from repro.predictors.link_table import LinkTableConfig
+from repro.obs.metrics import global_registry
+from repro.pipeline.delayed import PipelinedPredictor
 from repro.predictors.stride import StrideConfig, StridePredictor
 from repro.telemetry.instrumentation import AttributionProbe, instrument_predictor
 from repro.trace.trace import PredictorStream
@@ -501,3 +503,81 @@ def test_warmup_beyond_stream_counts_nothing():
         stream, 10**9)
     assert metrics_tuple(m_scalar) == metrics_tuple(m_batch)
     assert m_batch.loads == 0 and m_batch.predictions == 0
+
+
+# ---------------------------------------------------------------------------
+# Gap 0: the pipelined wrapper takes the kernels and is its inner predictor.
+
+GAP_TRACES = ("INT_xli", "CAD_cat")
+GAP_INSTRUCTIONS = 8000
+
+
+@pytest.fixture(scope="module")
+def roster_streams(tmp_path_factory):
+    from repro.workloads import suites
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_TRACE_CACHE", str(tmp_path_factory.mktemp("cache")))
+        return {
+            name: suites.get_trace(name, GAP_INSTRUCTIONS).predictor_columns()
+            for name in GAP_TRACES
+        }
+
+
+def _gap0_run(factory, stream, backend, monkeypatch, wrap=True):
+    monkeypatch.setenv(BACKEND_ENV, backend)
+    inner = factory()
+    predictor = PipelinedPredictor(inner, 0) if wrap else inner
+    metrics = PredictorMetrics()
+    run_on_columns(predictor, stream, metrics)
+    return predictor, inner, metrics
+
+
+@pytest.mark.parametrize("trace", GAP_TRACES)
+@pytest.mark.parametrize("factory,dump", [
+    (StridePredictor, st_dump), (HybridPredictor, hy_dump),
+], ids=["stride", "hybrid"])
+def test_gap0_wrapper_kernel_matches_scalar_and_unwrapped(
+    roster_streams, monkeypatch, trace, factory, dump
+):
+    stream = roster_streams[trace]
+    runs = {
+        "numpy": _gap0_run(factory, stream, BACKEND_NUMPY, monkeypatch),
+        "python": _gap0_run(factory, stream, BACKEND_PYTHON, monkeypatch),
+    }
+    assert runs["numpy"][2].backend == BACKEND_NUMPY
+    assert runs["python"][2].backend == BACKEND_PYTHON
+    _, ref, m_ref = _gap0_run(
+        factory, stream, BACKEND_PYTHON, monkeypatch, wrap=False)
+    assert m_ref.loads > 1000
+    for wrapper, inner, metrics in runs.values():
+        assert metrics_tuple(metrics) == metrics_tuple(m_ref)
+        # hy_dump carries the hybrid's selector statistics.
+        assert dump(inner) == dump(ref)
+        assert (wrapper.ghr, inner.call_path) == (ref.ghr, ref.call_path)
+        assert (wrapper.pending_updates, wrapper.flushes) == (0, 0)
+
+
+class _ScalarStride(StridePredictor):
+    supports_batch = False
+
+
+def _declined() -> int:
+    counters = global_registry().snapshot()["counters"]
+    return counters.get("kernels.PipelinedPredictor.declined", 0)
+
+
+@pytest.mark.parametrize("inner,gap", [
+    (StridePredictor, 4), (HybridPredictor, 4), (_ScalarStride, 0),
+], ids=["stride-gap4", "hybrid-gap4", "scalar-inner-gap0"])
+def test_real_gap_and_scalar_inner_are_declined(
+    roster_streams, monkeypatch, inner, gap
+):
+    monkeypatch.setenv(BACKEND_ENV, BACKEND_NUMPY)
+    predictor = PipelinedPredictor(inner(), gap)
+    assert not supports_batch(predictor)
+    before = _declined()
+    metrics = PredictorMetrics()
+    run_on_columns(predictor, roster_streams["INT_xli"], metrics)
+    assert metrics.backend == BACKEND_PYTHON
+    assert _declined() == before + 1

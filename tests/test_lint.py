@@ -110,6 +110,52 @@ class TestFixturePairs:
         assert "predict_batch" in by_symbol["CommitWithoutPlan"]
         assert "supports_batch" in by_symbol["UndeclaredKernels"]
 
+    @pytest.mark.parametrize("helper_branch", [True, False])
+    def test_r005_follows_a_loop_factored_into_a_helper(self, helper_branch):
+        branch = "        p.on_branch(ip)\n" if helper_branch else ""
+        source = (
+            "def run_on_stream(predictor, stream):\n"
+            "    for ip, addr in stream:\n"
+            "        predictor.update(ip, predictor.predict(ip))\n"
+            "        predictor.on_branch(ip)\n"
+            "\n"
+            "def run_on_columns(predictor, ips):\n"
+            "    return _loop(predictor, ips)\n"
+            "\n"
+            "def _loop(p, ips):\n"
+            "    for ip in ips:\n"
+            "        p.update(ip, p.predict(ip))\n"
+            + branch
+        )
+        findings = lint_source(
+            source, relpath=FIXTURE_PATHS["R005"], rules=["R005"]
+        )
+        if helper_branch:
+            assert findings == []
+        else:
+            assert [f.symbol for f in findings] == ["run_on_columns"]
+            assert "on_branch" in findings[0].message
+
+    @pytest.mark.parametrize("decorated", [True, False])
+    def test_r006_accepts_a_property_flag(self, decorated):
+        decorator = "    @property\n" if decorated else ""
+        source = (
+            "class Wrapper:\n"
+            + decorator
+            + "    def supports_batch(self):\n"
+            "        return self.gap == 0\n"
+            "\n"
+            "    def predict_batch(self, batch):\n"
+            "        return self.inner.predict_batch(batch)\n"
+            "\n"
+            "    def update_batch(self, batch, result):\n"
+            "        self.inner.update_batch(batch, result)\n"
+        )
+        findings = lint_source(
+            source, relpath=FIXTURE_PATHS["R006"], rules=["R006"]
+        )
+        assert (findings == []) == decorated
+
     def test_r007_reports_race_and_process_shapes(self):
         findings = _lint_fixture("R007", "bad")
         messages = " ".join(f.message for f in findings)

@@ -23,12 +23,12 @@ def _events(profile="mixed", seed=0, n=N_EVENTS):
     return [tuple(event) for event in generate_events(profile, seed, n)]
 
 
-def offline_records(factory, events, warmup=0, overrides=None):
+def offline_records(factory, events, warmup=0, overrides=None, gap=None):
     """Reference: scalar offline run with a capturing observer."""
     from repro.eval.engine import Job, build_predictor
 
     predictor = build_predictor(Job(
-        trace="", factory=factory, overrides=dict(overrides or {}),
+        trace="", factory=factory, overrides=dict(overrides or {}), gap=gap,
     ))
     metrics = PredictorMetrics(name="offline", trace="", suite="serve")
     captured = []
@@ -79,6 +79,27 @@ class TestParity:
         expected, metrics = offline_records("hybrid", events)
         assert served == expected
         assert _metric_tuple(session.finish()) == _metric_tuple(metrics)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("chunk", [None, 150], ids=["whole", "chunk150"])
+    @pytest.mark.parametrize("gap", [0, 8])
+    def test_gap_sessions_match_offline(
+        self, monkeypatch, backend, chunk, gap
+    ):
+        # Gap 0 is kernel-eligible (its first feed may take the kernels);
+        # gap 8 stays on the scalar loop on every feed.
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        events = _events("rds_walk", seed=11)
+        session = PredictorSession(SessionConfig(factory="hybrid", gap=gap))
+        step = chunk or len(events)
+        served = []
+        for start in range(0, len(events), step):
+            served.extend(session.feed(events[start : start + step]))
+        expected, metrics = offline_records("hybrid", events, gap=gap)
+        assert served == expected
+        assert _metric_tuple(session.finish()) == _metric_tuple(metrics)
+        kernel = backend == "numpy" and gap == 0
+        assert session.kernel_feeds == (1 if kernel else 0)
 
     def test_kernel_path_actually_ran(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")

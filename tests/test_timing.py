@@ -5,7 +5,10 @@ import pytest
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
 from repro.isa.memory import Memory
+from repro.obs.metrics import global_registry
+from repro.pipeline import PipelinedPredictor
 from repro.predictors import HybridPredictor, StridePredictor
+from repro.serve.session import predict_loads
 from repro.timing import (
     CacheConfig,
     CacheHierarchy,
@@ -19,6 +22,10 @@ from repro.timing import (
 )
 from repro.trace.trace import Trace
 from repro.workloads import LinkedListWorkload, trace_workload
+
+
+def _outcomes(trace, predictor):
+    return predict_loads(predictor, trace.predictor_columns())
 
 
 class TestCacheLevel:
@@ -174,7 +181,7 @@ class TestTimingModel:
         workload = LinkedListWorkload(seed=3, via_global_ptr=False, length=16)
         trace = trace_workload(workload, max_instructions=30_000)
         base = simulate(trace)
-        pred = simulate(trace, HybridPredictor())
+        pred = simulate(trace, _outcomes(trace, HybridPredictor()))
         assert speedup(base, pred) > 1.2
 
     def test_stride_prediction_modest_on_arrays(self):
@@ -183,14 +190,14 @@ class TestTimingModel:
 
         trace = trace_workload(ArraySumWorkload(seed=3), max_instructions=30_000)
         base = simulate(trace)
-        pred = simulate(trace, StridePredictor())
+        pred = simulate(trace, _outcomes(trace, StridePredictor()))
         s = speedup(base, pred)
         assert 0.98 < s < 1.3
 
     def test_result_counters(self):
         workload = LinkedListWorkload(seed=3)
         trace = trace_workload(workload, max_instructions=10_000)
-        result = simulate(trace, HybridPredictor())
+        result = simulate(trace, _outcomes(trace, HybridPredictor()))
         assert result.loads == trace.summary().loads
         assert result.speculative_correct + result.speculative_wrong <= result.loads
         assert 0 <= result.l1_hit_rate <= 1
@@ -273,3 +280,100 @@ class TestMemoryPorts:
     def test_port_validation(self):
         with pytest.raises(ValueError):
             MachineConfig(memory_ports=0)
+
+
+# Timing results of the predictor-driven model (predictors called from
+# inside ``simulate``) on quick-roster traces at 8,000 instructions:
+# (cycles, loads, speculative_correct, speculative_wrong,
+#  branch_mispredicts, l1_hit_rate).  The outcome-column model must
+# reproduce them on both backends.
+PINNED_TIMING = {
+    ("INT_xli", "stride"): (4706, 3546, 595, 0, 132, 0.990975747320925),
+    ("INT_xli", "hybrid"): (3946, 3546, 2533, 0, 132, 0.990975747320925),
+    ("INT_xli", "hybrid@8"): (4276, 3546, 2337, 108, 132, 0.990975747320925),
+    ("INT_gcc", "stride"): (9439, 2550, 955, 3, 614, 0.875686274509804),
+    ("INT_gcc", "hybrid"): (9427, 2550, 969, 4, 614, 0.875686274509804),
+    ("INT_gcc", "hybrid@8"): (9437, 2550, 939, 9, 614, 0.875686274509804),
+    ("CAD_cat", "stride"): (7224, 2489, 881, 2, 469, 0.9272800321414223),
+    ("CAD_cat", "hybrid"): (7156, 2489, 1003, 3, 469, 0.9272800321414223),
+    ("CAD_cat", "hybrid@8"): (7162, 2489, 921, 16, 469, 0.9272800321414223),
+}
+PINNED_INSTRUCTIONS = 8000
+
+PREDICTORS = {
+    "stride": StridePredictor,
+    "hybrid": HybridPredictor,
+    "hybrid@8": lambda: PipelinedPredictor(HybridPredictor(), 8),
+}
+
+
+@pytest.fixture(scope="module")
+def roster_traces(tmp_path_factory):
+    from repro.workloads import suites
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_TRACE_CACHE", str(tmp_path_factory.mktemp("cache")))
+        return {
+            name: suites.get_trace(name, PINNED_INSTRUCTIONS)
+            for name in sorted({name for name, _ in PINNED_TIMING})
+        }
+
+
+def _timing_fields(result):
+    return (result.cycles, result.loads, result.speculative_correct,
+            result.speculative_wrong, result.branch_mispredicts,
+            result.l1_hit_rate)
+
+
+def _dispatched(predictor) -> int:
+    counters = global_registry().snapshot()["counters"]
+    return counters.get(f"kernels.{type(predictor).__name__}.dispatched", 0)
+
+
+class TestOutcomeColumns:
+    @pytest.mark.parametrize("key", sorted(PINNED_TIMING), ids=str)
+    def test_backends_agree_with_pinned_timing(
+        self, roster_traces, monkeypatch, key
+    ):
+        name, variant = key
+        trace = roster_traces[name]
+        results = {}
+        for backend in ("python", "numpy"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            outcomes = predict_loads(
+                PREDICTORS[variant](), trace.predictor_columns())
+            results[backend] = simulate(trace, outcomes)
+        python, numpy = results["python"], results["numpy"]
+        assert _timing_fields(python) == _timing_fields(numpy)
+        assert (python.instructions, python.meta) == (
+            numpy.instructions, numpy.meta)
+        assert _timing_fields(numpy) == PINNED_TIMING[key]
+
+    @pytest.mark.parametrize("variant", ["stride", "hybrid"])
+    def test_kernel_and_scalar_columns_agree(
+        self, roster_traces, monkeypatch, variant
+    ):
+        columns = roster_traces["INT_gcc"].predictor_columns()
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        predictor = PREDICTORS[variant]()
+        before = _dispatched(predictor)
+        kernel = predict_loads(predictor, columns)
+        assert _dispatched(predictor) == before + 1
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        predictor = PREDICTORS[variant]()
+        scalar = predict_loads(predictor, columns)
+        assert _dispatched(predictor) == before + 1
+        assert kernel == scalar
+        speculative, correct = kernel
+        assert len(speculative) == len(correct) == columns.loads
+        assert any(speculative) and any(correct)
+
+    def test_wrong_length_columns_raise(self, roster_traces):
+        trace = roster_traces["INT_xli"]
+        speculative, correct = predict_loads(
+            StridePredictor(), trace.predictor_columns())
+        for bad in ((speculative[:-1], correct[:-1]),
+                    (speculative, correct + [False]),
+                    ([], [])):
+            with pytest.raises(ValueError, match="loads"):
+                simulate(trace, bad)
