@@ -12,7 +12,7 @@ combining them never hurts much.
 from conftest import run_once
 
 from repro.predictors import HybridPredictor
-from repro.serve.session import predict_loads
+from repro.eval.runner import predict_loads
 from repro.timing import StridePrefetcher, simulate
 from repro.workloads import suites
 

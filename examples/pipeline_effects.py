@@ -11,7 +11,7 @@ Run:  python examples/pipeline_effects.py
 
 from repro.pipeline import PipelinedPredictor
 from repro.predictors import HybridPredictor
-from repro.serve.session import predict_loads, run_predictor
+from repro.eval.runner import predict_loads, run_predictor
 from repro.timing import simulate, speedup
 from repro.workloads import ArraySumWorkload, ListEvalWorkload, trace_workload
 

@@ -1,6 +1,6 @@
 """Batch kernel layer: vectorised predictor evaluation over columnar events.
 
-The scalar evaluation loop (:func:`repro.serve.session.run_on_columns`)
+The scalar evaluation loop (:func:`repro.eval.runner.run_on_stream`)
 interprets one event at a time; for table-indexed predictors the same
 computation factors into grouped array passes — the kernels here evaluate
 a whole :class:`~repro.trace.trace.PredictorStream` per predictor in a
@@ -21,10 +21,11 @@ predictor's ``predict_batch``/``update_batch`` kernel when
 and leaves the scalar reference to the caller when the kernel raises
 :class:`BatchFallback` (configurations with genuinely sequential table
 dynamics, e.g. an overflowing load-buffer set or a set-associative LT).
-Its callers are :func:`try_run_batch` (``run_on_columns``, which folds
-the result into metrics and records which backend actually ran) and
-``predict_loads`` (the per-load outcome columns the timing model
-consumes), both in :mod:`repro.serve.session`.
+Its callers are ``run_on_columns`` (which folds the result into metrics
+and records which backend actually ran) and ``predict_loads`` (the
+per-load outcome columns the timing model consumes), both in
+:mod:`repro.eval.runner`, and the first feed of a served
+:class:`~repro.serve.session.PredictorSession`.
 
 Each dispatch plans over an :class:`~repro.kernels.batch.EventBatch` of
 the stream.  Without a scope every call builds its own (a served feed);
@@ -62,7 +63,6 @@ __all__ = [
     "resolve_backend",
     "supports_batch",
     "dispatch_batch",
-    "try_run_batch",
     "run_batch",
     "batch_records",
 ]
@@ -137,27 +137,6 @@ def dispatch_batch(
     result = run_batch(predictor, stream, scope=scope)
     record_dispatch(predictor, "fallback" if result is None else "dispatched")
     return result
-
-
-def try_run_batch(
-    predictor,
-    stream,
-    metrics,
-    warmup_loads: int = 0,
-    observer: Optional[Callable] = None,
-    scope: Optional["PlanScope"] = None,
-) -> bool:
-    """Kernel dispatch for ``run_on_columns``.
-
-    Returns True when the batch path ran (metrics fully folded); False
-    when the caller must run the scalar loop.
-    """
-    result = dispatch_batch(predictor, stream, observer, scope)
-    if result is None:
-        return False
-    fold_metrics(result, metrics, warmup_loads)
-    metrics.backend = BACKEND_NUMPY
-    return True
 
 
 def fold_metrics(result: BatchResult, metrics, warmup_loads: int) -> None:

@@ -22,8 +22,15 @@ Architecture
         environment reads outside repro.eval.config)
   R003  bit-width hygiene (unmasked address/history arithmetic)
   R004  engine picklability (lambdas/local defs in Job payloads)
-  R005  stream/columns parity (run_on_stream vs run_on_columns)
+  R006  batch contract (predict_batch/update_batch/supports_batch)
+  R007  await-atomicity (check-then-act across await)
+  R008  bit-width dataflow (R003 hazards traced through renames)
+  R009  numpy int64 overflow (kernel arithmetic, shift loops)
+  R010  ingest error hygiene (pinned messages, CLI exit codes)
   ====  =====================================================
+
+  R005 (stream/columns parity) is retired: it kept two copies of the
+  scalar evaluation loop in step, and only one remains.
 
 * :mod:`repro.lint.reporters` — text and JSON output.
 * :mod:`repro.lint.cli` — the ``python -m repro lint`` entry point.

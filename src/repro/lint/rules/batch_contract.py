@@ -1,6 +1,6 @@
 """R006 — batch kernel contract.
 
-The batch dispatch (:func:`repro.kernels.try_run_batch`) drives a
+The batch dispatch rule (:func:`repro.kernels.dispatch_batch`) drives a
 predictor through a two-phase protocol: ``predict_batch`` plans the whole
 stream, ``update_batch`` commits the planned end state, and the class
 attribute ``supports_batch`` advertises the pair to the dispatcher.  The

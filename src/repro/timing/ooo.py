@@ -10,7 +10,7 @@ address prediction trades in: hidden load latency on correct speculative
 accesses and recovery cost on wrong ones (see DESIGN.md).
 
 Address prediction enters as per-load outcome columns computed before
-scheduling (:func:`repro.serve.session.predict_loads`): no prediction
+scheduling (:func:`repro.eval.runner.predict_loads`): no prediction
 depends on timing, so the model consumes columns and never calls a
 predictor.
 """
@@ -73,7 +73,7 @@ def simulate(
     """Run the timing model over ``trace``.
 
     ``outcomes`` is a ``(speculative, correct)`` pair of per-load columns
-    (:func:`repro.serve.session.predict_loads`), one entry per dynamic
+    (:func:`repro.eval.runner.predict_loads`), one entry per dynamic
     load in program order; a :class:`ValueError` is raised when their
     length is not the trace's load count.  Correct speculative accesses
     hide ``config.prediction_lead`` cycles of their latency, wrong ones

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,6 +128,16 @@ class PredictorStream:
     def tuples(self) -> List[tuple]:
         """Materialise the stream as the legacy list of 4-tuples."""
         return list(zip(*self.lists()))
+
+    @classmethod
+    def from_events(
+        cls, events: Sequence[Sequence[int]]
+    ) -> "PredictorStream":
+        """Pack a list of ``(tag, ip, a, b)`` events into columns."""
+        if not events:
+            return cls([], [], [], [], loads=0)
+        tag, ip, a, b = (list(col) for col in zip(*events))
+        return cls(tag, ip, a, b)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PredictorStream(events={len(self)}, loads={self.loads})"

@@ -1,13 +1,12 @@
-"""Differential engine: replay one trace through four implementations.
+"""Differential engine: replay one trace through three implementations.
 
 For a given *variant* (a named predictor configuration) the engine runs the
 same predictor-visible event stream through
 
 1. the spec oracle (:mod:`repro.verify.oracle`),
-2. the production predictor via :func:`repro.eval.runner.run_on_stream`,
-3. a second production instance via
-   :func:`repro.eval.runner.run_on_columns` (scalar columnar loop), and
-4. the batch-kernel path (:func:`repro.kernels.run_batch`) when the
+2. the production predictor via the scalar loop
+   (:func:`repro.eval.runner.run_on_stream`), and
+3. the batch-kernel path (:func:`repro.kernels.run_batch`) when the
    variant's predictor supports it and the numpy backend is selected,
 
 and requires all of them to be bit-identical: every per-access prediction
@@ -19,7 +18,7 @@ moment the diverging prediction was made.
 The vectorized lane is allowed to *decline* — a kernel raising
 :class:`~repro.kernels.BatchFallback` (set-associative Link Table, the
 ``unless_stride_selected`` policy) or a forced ``python`` backend simply
-drops the fourth lane, because that is exactly what the production
+drops the third lane, because that is exactly what the production
 dispatch does.  Lane absence is reported to callers via
 :func:`vectorized_lane_ran` so smoke jobs can assert the lane actually
 executed where it should.
@@ -27,7 +26,7 @@ executed where it should.
 Variants use deliberately *small* geometries — a 64-entry Load Buffer and
 a few-hundred-entry Link Table alias orders of magnitude sooner than the
 paper's 4K-entry structures, which is exactly where update-ordering bugs
-hide, and four-way replay of fuzzed traces stays cheap.
+hide, and three-way replay of fuzzed traces stays cheap.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..eval.metrics import PredictorMetrics
-from ..serve.session import run_on_columns, run_on_stream
+from ..eval.runner import run_on_stream
 from ..predictors.base import AddressPredictor
 from ..predictors.cap import CAPConfig, CAPPredictor
 from ..predictors.hybrid import HybridConfig, HybridPredictor
@@ -335,19 +334,6 @@ def _recording_observer(records: List[AccessRecord]) -> Callable:
     return observe
 
 
-def _columns_of(events: Events) -> PredictorStream:
-    tags: List[int] = []
-    ips: List[int] = []
-    a: List[int] = []
-    b: List[int] = []
-    for tag, ip, ea, eb in events:
-        tags.append(tag)
-        ips.append(ip)
-        a.append(ea)
-        b.append(eb)
-    return PredictorStream(tags, ips, a, b)
-
-
 def _vectorized_lane(
     spec: VariantSpec,
     events: Events,
@@ -356,8 +342,8 @@ def _vectorized_lane(
 ) -> Optional[tuple]:
     """Run the batch-kernel lane; ``None`` when the lane does not apply.
 
-    Mirrors the production dispatch in :func:`repro.kernels.try_run_batch`:
-    the lane is skipped when the backend resolves to ``python``, when the
+    Mirrors the production dispatch rule,
+    :func:`repro.kernels.dispatch_batch`: the lane is skipped when the backend resolves to ``python``, when the
     variant's predictor has no kernels, or when the kernel declines with
     :class:`~repro.kernels.BatchFallback`.  Returns ``(records, metrics,
     predictor)`` on success, with the predictor holding end-of-stream
@@ -377,7 +363,7 @@ def _vectorized_lane(
     subject = spec.production()
     if not supports_batch(subject):
         return None
-    stream = _columns_of(events)
+    stream = PredictorStream.from_events(events)
     result = run_batch(subject, stream, warmup_loads)
     if result is None:
         return None
@@ -392,9 +378,9 @@ def vectorized_lane_ran(
     events: Events,
     backend: Optional[str] = None,
 ) -> bool:
-    """Whether the four-way replay's kernel lane executes for this input.
+    """Whether the three-way replay's kernel lane executes for this input.
 
-    Used by parity smoke jobs to assert the fourth lane is live (a replay
+    Used by parity smoke jobs to assert the third lane is live (a replay
     where every kernel silently declined would vacuously "pass").
     """
     spec = VARIANTS[variant_name]
@@ -442,7 +428,7 @@ class Divergence:
 
     variant: str
     kind: str            # "access" | "metrics" | "link_table" | "confidence"
-    paths: str           # e.g. "oracle vs stream"
+    paths: str           # e.g. "oracle vs scalar"
     access_index: Optional[int]
     detail: str
     state_dumps: Dict[str, dict]
@@ -529,7 +515,7 @@ def verify_events(
     warmup_loads: int = 0,
     backend: Optional[str] = None,
 ) -> Optional[Divergence]:
-    """Replay ``events`` through all four paths; None means bit-identical.
+    """Replay ``events`` through all three paths; None means bit-identical.
 
     ``events`` follows the predictor-stream convention: ``(tag, ip, a, b)``
     rows with tag 1 = load (a=address, b=offset), 0 = branch (a=taken),
@@ -546,37 +532,26 @@ def verify_events(
         observer=_recording_observer(oracle_records),
     )
 
-    streamed = spec.production()
-    stream_records: List[AccessRecord] = []
-    stream_metrics = run_on_stream(
-        streamed, events, PredictorMetrics(), warmup_loads,
-        observer=_recording_observer(stream_records),
-    )
-
-    columnar = spec.production()
-    column_records: List[AccessRecord] = []
-    column_metrics = run_on_columns(
-        columnar, _columns_of(events), PredictorMetrics(), warmup_loads,
-        observer=_recording_observer(column_records),
+    scalar = spec.production()
+    scalar_records: List[AccessRecord] = []
+    scalar_metrics = run_on_stream(
+        scalar, events, PredictorMetrics(), warmup_loads,
+        observer=_recording_observer(scalar_records),
     )
 
     vector = _vectorized_lane(spec, events, warmup_loads, backend)
 
-    # Per-access behaviour, pairwise against the oracle and across the
-    # production paths (the oracle diff localises spec bugs; the production
-    # pair diffs localise fast-path bugs even if both disagree with the
-    # oracle in the same way; the columns/vectorized pair isolates kernel
-    # bugs from event-decoding bugs).
+    # Per-access behaviour, pairwise: the oracle diff localises spec bugs;
+    # the scalar/vectorized diff localises kernel bugs even if both
+    # production paths disagree with the oracle in the same way.
     pairs = [
         ("oracle", oracle_records, spec.oracle,
-         "stream", stream_records, spec.production),
-        ("stream", stream_records, spec.production,
-         "columns", column_records, spec.production),
+         "scalar", scalar_records, spec.production),
     ]
     if vector is not None:
         vector_records, vector_metrics, vectorized = vector
         pairs.append(
-            ("columns", column_records, spec.production,
+            ("scalar", scalar_records, spec.production,
              "vectorized", vector_records, spec.production)
         )
     for args in pairs:
@@ -587,32 +562,31 @@ def verify_events(
     # Final aggregate metrics.
     by_path = {
         "oracle": (oracle_metrics, oracle),
-        "stream": (stream_metrics, streamed),
-        "columns": (column_metrics, columnar),
+        "scalar": (scalar_metrics, scalar),
     }
     if vector is not None:
         by_path["vectorized"] = (vector_metrics, vectorized)
-    reference = _metrics_tuple(stream_metrics)
+    reference = _metrics_tuple(scalar_metrics)
     for path, (metrics, _) in by_path.items():
         if _metrics_tuple(metrics) != reference:
             return Divergence(
                 variant=variant_name,
                 kind="metrics",
-                paths=f"stream vs {path}",
+                paths=f"scalar vs {path}",
                 access_index=None,
                 detail=(
                     f"counters (loads, predictions, correct, speculative,"
-                    f" correct_speculative): stream={reference}"
+                    f" correct_speculative): scalar={reference}"
                     f" {path}={_metrics_tuple(metrics)}"
                 ),
                 state_dumps={},
             )
 
     # Final architectural state: Link Table contents and confidence values.
-    reference_lt = sorted(_lt_dump(streamed))
-    reference_conf = _confidence_dump(streamed)
+    reference_lt = sorted(_lt_dump(scalar))
+    reference_conf = _confidence_dump(scalar)
     for path, (_, subject) in by_path.items():
-        if path == "stream":
+        if path == "scalar":
             continue
         lt = sorted(_lt_dump(subject))
         if lt != reference_lt:
@@ -621,11 +595,11 @@ def verify_events(
             return Divergence(
                 variant=variant_name,
                 kind="link_table",
-                paths=f"stream vs {path}",
+                paths=f"scalar vs {path}",
                 access_index=None,
                 detail=(
                     f"final LT differs: only-in-{path}={extra[:6]}"
-                    f" only-in-stream={missing[:6]}"
+                    f" only-in-scalar={missing[:6]}"
                 ),
                 state_dumps={},
             )
@@ -643,9 +617,9 @@ def verify_events(
             return Divergence(
                 variant=variant_name,
                 kind="confidence",
-                paths=f"stream vs {path}",
+                paths=f"scalar vs {path}",
                 access_index=None,
-                detail=f"final confidence differs (stream, {path}): {shown}",
+                detail=f"final confidence differs (scalar, {path}): {shown}",
                 state_dumps={},
             )
     return None

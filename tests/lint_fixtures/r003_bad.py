@@ -18,3 +18,10 @@ def shift_history(history, bit):
 def accumulate(addr, delta):
     addr += delta  # augmented Add without a masking '&'
     return addr
+
+
+class ShiftRegister:
+    def push(self, bit):
+        # Attribute operands: the dataflow rule R008 tracks local names
+        # only, so this unmasked shift is R003's alone.
+        self.history = self.history << 1 | bit

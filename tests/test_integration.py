@@ -13,7 +13,7 @@ from repro.predictors import (
     StrideConfig,
     StridePredictor,
 )
-from repro.serve.session import predict_loads
+from repro.eval.runner import predict_loads
 from repro.timing import simulate, speedup
 from repro.workloads import (
     ArraySumWorkload,

@@ -6,7 +6,7 @@ randomised stream through the scalar ``run_on_columns`` reference and the
 batch kernel path, then compares metrics, per-access observer records,
 control-flow state, full table dumps (tags, LRU stamps, confidence, CFI
 machines, Link Table entries) and attribution-probe counters.  The
-four-way differential harness (``tests/test_verify.py``) covers the same
+three-way differential harness (``tests/test_verify.py``) covers the same
 ground on the registered variants; this file pins the kernel layer's own
 API surface — dispatch gates, fallbacks, warm-up folding — and the
 segmented-array primitives the kernels are built from.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.common.bitops import fold_xor
 from repro.eval.metrics import PredictorMetrics
-from repro.serve.session import run_on_columns
+from repro.eval.runner import run_on_columns
 from repro.kernels import (
     BACKEND_ENV,
     BACKEND_NUMPY,
@@ -30,7 +30,6 @@ from repro.kernels import (
     resolve_backend,
     run_batch,
     supports_batch,
-    try_run_batch,
 )
 from repro.kernels.segops import (
     fold_xor_array,
@@ -400,25 +399,35 @@ class TestDispatchGates:
 
         assert not supports_batch(Scalar())
 
+    def _tally(self, outcome):
+        counters = global_registry().snapshot()["counters"]
+        return counters.get(f"kernels.LastAddressPredictor.{outcome}", 0)
+
     def test_python_backend_declines(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, BACKEND_PYTHON)
-        m = PredictorMetrics()
-        assert not try_run_batch(self._predictor(), self._stream(), m)
-        assert m.loads == 0
+        before = self._tally("declined")
+        m = run_on_columns(self._predictor(), self._stream(), PredictorMetrics())
+        assert m.backend == BACKEND_PYTHON
+        assert m.loads > 0
+        assert self._tally("declined") == before + 1
 
     def test_observer_declines(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, BACKEND_NUMPY)
-        m = PredictorMetrics()
-        ran = try_run_batch(self._predictor(), self._stream(), m,
-                            observer=lambda *a: None)
-        assert not ran
+        seen = []
+        before = self._tally("declined")
+        m = run_on_columns(self._predictor(), self._stream(), PredictorMetrics(),
+                           observer=lambda *a: seen.append(a))
+        assert m.backend == BACKEND_PYTHON
+        assert len(seen) == m.loads > 0
+        assert self._tally("declined") == before + 1
 
     def test_numpy_backend_runs_and_records(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, BACKEND_NUMPY)
-        m = PredictorMetrics()
-        assert try_run_batch(self._predictor(), self._stream(), m)
+        before = self._tally("dispatched")
+        m = run_on_columns(self._predictor(), self._stream(), PredictorMetrics())
         assert m.backend == BACKEND_NUMPY
         assert m.loads > 0
+        assert self._tally("dispatched") == before + 1
 
     def test_associative_lt_falls_back(self):
         p = CAPPredictor(CAPConfig(

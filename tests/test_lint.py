@@ -42,7 +42,6 @@ FIXTURE_PATHS = {
     "R002": "tests/lint_fixtures/fixture.py",
     "R003": "src/repro/predictors/fixture.py",
     "R004": "src/repro/eval/fixture.py",
-    "R005": "src/repro/eval/fixture.py",
     "R006": "src/repro/predictors/fixture.py",
     "R007": "src/repro/serve/fixture.py",
     "R008": "src/repro/predictors/fixture.py",
@@ -97,44 +96,12 @@ class TestFixturePairs:
         assert any("'local_factory'" in m for m in messages)
         assert any("'scale'" in m for m in messages)
 
-    def test_r005_reports_the_lacking_function(self):
-        findings = _lint_fixture("R005", "bad")
-        assert len(findings) == 1
-        assert findings[0].symbol == "run_on_columns"
-        assert "on_branch" in findings[0].message
-
     def test_r006_reports_each_contract_slice(self):
         findings = _lint_fixture("R006", "bad")
         by_symbol = {f.symbol: f.message for f in findings}
         assert "update_batch" in by_symbol["PlanWithoutCommit"]
         assert "predict_batch" in by_symbol["CommitWithoutPlan"]
         assert "supports_batch" in by_symbol["UndeclaredKernels"]
-
-    @pytest.mark.parametrize("helper_branch", [True, False])
-    def test_r005_follows_a_loop_factored_into_a_helper(self, helper_branch):
-        branch = "        p.on_branch(ip)\n" if helper_branch else ""
-        source = (
-            "def run_on_stream(predictor, stream):\n"
-            "    for ip, addr in stream:\n"
-            "        predictor.update(ip, predictor.predict(ip))\n"
-            "        predictor.on_branch(ip)\n"
-            "\n"
-            "def run_on_columns(predictor, ips):\n"
-            "    return _loop(predictor, ips)\n"
-            "\n"
-            "def _loop(p, ips):\n"
-            "    for ip in ips:\n"
-            "        p.update(ip, p.predict(ip))\n"
-            + branch
-        )
-        findings = lint_source(
-            source, relpath=FIXTURE_PATHS["R005"], rules=["R005"]
-        )
-        if helper_branch:
-            assert findings == []
-        else:
-            assert [f.symbol for f in findings] == ["run_on_columns"]
-            assert "on_branch" in findings[0].message
 
     @pytest.mark.parametrize("decorated", [True, False])
     def test_r006_accepts_a_property_flag(self, decorated):
@@ -342,9 +309,10 @@ class TestSuppressions:
 
 
 class TestFrameworkPlumbing:
-    def test_all_ten_rules_registered(self):
+    def test_all_nine_rules_registered(self):
+        # R005 (stream/columns parity) is retired; its id stays unused.
         assert sorted(all_rules()) == [
-            "R001", "R002", "R003", "R004", "R005",
+            "R001", "R002", "R003", "R004",
             "R006", "R007", "R008", "R009", "R010",
         ]
 

@@ -11,7 +11,7 @@ from repro.eval.metrics import (
     SuiteMetrics,
     aggregate_by_suite,
 )
-from repro.serve.session import run_on_columns, run_on_stream, run_predictor
+from repro.eval.runner import run_on_columns, run_on_stream, run_predictor
 from repro.predictors import LastAddressPredictor
 from repro.predictors.base import AddressPredictor, Prediction
 from repro.trace.trace import PredictorStream

@@ -33,7 +33,7 @@ from repro.predictors.cap import CAPConfig, CAPPredictor
 from repro.predictors.hybrid import HybridConfig, HybridPredictor
 from repro.predictors.link_table import LinkTableConfig
 from repro.predictors.stride import StrideConfig, StridePredictor
-from repro.serve.session import run_on_columns
+from repro.eval.runner import run_on_columns
 from repro.workloads import suites
 
 from test_kernels import cap_dump, hy_dump, metrics_tuple, st_dump

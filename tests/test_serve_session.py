@@ -9,11 +9,8 @@ both backends, and regardless of how the stream is chunked into feeds.
 import pytest
 
 from repro.eval.metrics import PredictorMetrics
-from repro.serve.session import (
-    PredictorSession,
-    SessionConfig,
-    run_on_stream,
-)
+from repro.eval.runner import run_on_stream
+from repro.serve.session import PredictorSession, SessionConfig
 from repro.verify.fuzz import generate_events
 
 N_EVENTS = 600

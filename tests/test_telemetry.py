@@ -1,6 +1,6 @@
 """Instrumentation layer: probes, manifests, schema, profiler, stats.
 
-The load-bearing property is R005-style parity: an instrumented predictor
+The load-bearing property is path parity: an instrumented predictor
 must report byte-identical attribution counters whether it is driven by
 ``run_on_stream``, ``run_on_columns``, or the engine (serial or pooled).
 """

@@ -8,7 +8,7 @@ from repro.isa.memory import Memory
 from repro.obs.metrics import global_registry
 from repro.pipeline import PipelinedPredictor
 from repro.predictors import HybridPredictor, StridePredictor
-from repro.serve.session import predict_loads
+from repro.eval.runner import predict_loads
 from repro.timing import (
     CacheConfig,
     CacheHierarchy,
