@@ -30,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.telemetry.stats import (  # noqa: E402
+from repro.obs.report import (  # noqa: E402
     BENCH_SCHEMA_ID,
     check_bench_file,
 )
@@ -57,8 +57,7 @@ def _observed_backend(requested: str) -> str:
     record what the measurement will really be.
     """
     from repro.eval.engine import Job, execute_job
-    from repro.eval.experiments import quick_trace_set
-    from repro.telemetry.stats import DEFAULT_VARIANTS
+    from repro.eval.experiments import DEFAULT_VARIANTS, quick_trace_set
 
     previous = os.environ.get("REPRO_BACKEND")
     os.environ["REPRO_BACKEND"] = requested

@@ -277,9 +277,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    # Imported lazily: telemetry.stats pulls in the engine, which the
-    # other subcommands don't need at parse time.
-    from ..telemetry import stats as S
+    # Imported lazily: the other subcommands don't need the reports.
+    from ..obs import report as S
 
     mode = args.stats_mode
     if mode == "breakdown":
@@ -290,7 +289,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             traces = suites.trace_names()
         else:
             traces = E.quick_trace_set()
-        result = S.collect_breakdown(
+        result = E.collect_breakdown(
             traces=traces, instructions=args.instructions,
         )
         if args.format == "json":
@@ -337,15 +336,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(S.render_slo_report(args.file))
         return 0
     if mode == "tail":
-        from ..obs.report import tail as obs_tail
-
-        return obs_tail(
-            args.target, interval_s=args.interval, once=args.once
-        )
+        return S.tail(args.target, interval_s=args.interval, once=args.once)
     if mode == "spans":
-        from ..obs.report import spans_report
-
-        return spans_report(args.file)
+        return S.spans_report(args.file)
     if mode == "bench":
         problems = S.check_bench_file(args.file)
         if problems:

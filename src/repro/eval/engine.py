@@ -49,16 +49,15 @@ from ..predictors.gshare_address import (
 from ..predictors.hybrid import HybridConfig, HybridPredictor, SelectorStats
 from ..predictors.last_address import LastAddressConfig, LastAddressPredictor
 from ..predictors.stride import StrideConfig, StridePredictor
-from ..telemetry import manifest as run_manifest
-from ..telemetry.instrumentation import AttributionProbe, instrument_predictor
-from ..telemetry.profiler import maybe_start as maybe_start_profiler
+from ..obs import manifest as run_manifest
+from ..obs import profiler as sampling
 from ..timing.machine import MachineConfig
 from ..timing.ooo import simulate
 from ..trace.trace import PredictorStream, Trace
 from ..workloads import suites as suite_registry
 from . import config as run_config
-from .metrics import AttributionCounters, PredictorMetrics
-from .runner import predict_loads, run_on_columns
+from .metrics import PredictorMetrics
+from .runner import new_metrics, predict_loads, run_on_columns
 
 __all__ = [
     "FACTORIES",
@@ -255,8 +254,10 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
     """Run one job in the current process, recording run details in ``aux``.
 
     ``aux`` receives ``events``/``loads`` counts, the attribution ``probe``
-    (instrumented jobs) and the sampling ``profile`` (when enabled) — the
-    raw material for the job's run manifest.
+    (instrumented jobs: the attached
+    :class:`~repro.eval.metrics.AttributionCounters`) and the sampling
+    ``profile`` (when enabled) — the raw material for the job's run
+    manifest.
     """
     if job.kind == KIND_TIMING:
         trace = _memoized_trace(job.trace, job.instructions)
@@ -265,8 +266,7 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
         if job.factory is not None:
             predictor = build_predictor(job)
             if job.instrument:
-                aux["probe"] = AttributionProbe()
-                instrument_predictor(predictor, aux["probe"])
+                aux["probe"] = new_metrics(predictor, True)
             outcomes = predict_loads(
                 predictor, trace.predictor_columns(), _PLAN_SCOPE.get()
             )
@@ -296,20 +296,15 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
     aux["loads"] = stream.loads
     warmup = int(stream.loads * job.warmup_fraction)
     predictor = build_predictor(job)
-    metrics: PredictorMetrics
-    probe = None
+    metrics = new_metrics(
+        predictor, job.instrument, job.variant, job.trace, suite,
+    )
     if job.instrument:
-        probe = AttributionProbe()
-        aux["probe"] = probe
-        instrument_predictor(predictor, probe)
-        metrics = AttributionCounters(
-            name=job.variant or predictor.name, trace=job.trace, suite=suite,
-        )
-    else:
-        metrics = PredictorMetrics(
-            name=job.variant or predictor.name, trace=job.trace, suite=suite,
-        )
-    profiler = maybe_start_profiler()
+        aux["probe"] = metrics
+    profiler = None
+    if run_config.profile_enabled() and sampling.available():
+        profiler = sampling.SamplingProfiler()
+        profiler.start()
     try:
         run_on_columns(
             predictor, stream, metrics, warmup_loads=warmup,
@@ -318,9 +313,6 @@ def _execute(job: Job, aux: Dict[str, Any]) -> JobResult:
     finally:
         if profiler is not None:
             aux["profile"] = profiler.stop()
-    if probe is not None:
-        assert isinstance(metrics, AttributionCounters)
-        metrics.absorb_probe(probe)
     selector_stats = None
     if job.capture_selector:
         core = getattr(predictor, "inner", predictor)
@@ -425,7 +417,7 @@ def _build_manifest(
             "flight_recorder": None,
             "metrics": global_registry().snapshot(),
         },
-        "attribution": probe.as_dict() if probe is not None else None,
+        "attribution": probe.attribution() if probe is not None else None,
         "profile": aux.get("profile"),
     }
 
@@ -442,7 +434,7 @@ def execute_job(job: Job) -> JobResult:
     from ..obs.metrics import global_registry
 
     registry = global_registry()
-    if not run_manifest.enabled():
+    if not run_config.telemetry_enabled():
         started_perf = run_manifest.perf_clock()
         result = _execute(job, {})
         result.wall_s = run_manifest.perf_clock() - started_perf
@@ -464,7 +456,7 @@ def execute_job(job: Job) -> JobResult:
     registry.counter("engine.jobs").inc()
     registry.histogram("engine.job.run_s").observe(wall_s)
     manifest = _build_manifest(job, result, aux, started_wall, wall_s, cpu_s)
-    path = run_manifest.write_manifest(manifest)
+    path = run_manifest.write_manifest(manifest, run_config.telemetry_dir())
     run_manifest.heartbeat(
         f"done  kind={job.kind} variant={label} trace={job.trace}"
         f" wall={wall_s:.2f}s manifest={path}"
@@ -528,7 +520,7 @@ def run_jobs(
         return results  # type: ignore[return-value]
     registry = global_registry()
     queue_wait = registry.histogram("engine.job.queue_wait_s")
-    telemetry_on = run_manifest.enabled()
+    telemetry_on = run_config.telemetry_enabled()
     completed = 0
     pool_workers = min(workers, len(job_list))
     chunk = math.ceil(len(job_list) / pool_workers)

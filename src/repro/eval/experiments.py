@@ -21,11 +21,15 @@ fig11     prediction rate/accuracy vs prediction gap
 fig12     processor speedup at a prediction gap of 8
 baselines Section 1's last-address/stride coverage claims
 control_based  Section 3.6's g-share / call-path address predictors
+breakdown misprediction causes per variant (``repro stats breakdown``)
 ========  ==========================================================
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -45,7 +49,12 @@ from ..timing.machine import MachineConfig
 from ..workloads import suites as suite_registry
 from .charts import grouped_bar_chart
 from .engine import Job, run_jobs
-from .metrics import PredictorMetrics, SuiteMetrics, aggregate_by_suite
+from .metrics import (
+    AttributionCounters,
+    PredictorMetrics,
+    SuiteMetrics,
+    aggregate_by_suite,
+)
 from .report import format_percent, format_speedup, format_table
 from .runner import run_predictor
 
@@ -64,6 +73,9 @@ __all__ = [
     "control_based",
     "value_vs_address",
     "quick_trace_set",
+    "BreakdownResult",
+    "DEFAULT_VARIANTS",
+    "collect_breakdown",
 ]
 
 SUITE_ORDER = ("CAD", "GAM", "INT", "JAV", "MM", "NT", "TPC", "W95", "Average")
@@ -123,6 +135,7 @@ def _grid_jobs(
     instructions: Optional[int],
     warmup_fraction: float = 0.0,
     capture_selector: bool = False,
+    instrument: bool = False,
 ) -> List[Job]:
     """Jobs for a (trace x variant) grid, trace-outer for cache locality."""
     return [
@@ -135,6 +148,7 @@ def _grid_jobs(
             gap=gap,
             capture_selector=capture_selector,
             variant=variant,
+            instrument=instrument,
         )
         for name in trace_names
         for variant, (factory, overrides, gap) in variants.items()
@@ -843,4 +857,165 @@ def value_vs_address(
     result.rows["hybrid (address)"] = (
         addr_total.prediction_rate, addr_total.accuracy, ceiling,
     )
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Misprediction-cause breakdown (Figures 9-10's "why", per counter)
+# ---------------------------------------------------------------------------
+
+#: The Figure 5 predictor roster the breakdown runs by default.
+DEFAULT_VARIANTS: Dict[str, VariantSpec] = {
+    "stride": _spec("stride"),
+    "cap": _spec("cap"),
+    "hybrid": _spec("hybrid"),
+}
+
+#: Correctness counters every breakdown record carries.
+_COUNTS = (
+    "loads", "predictions", "speculative", "correct_speculative",
+    "correct_predictions",
+)
+
+
+@dataclass
+class BreakdownResult:
+    """Aggregated attribution counters for several predictor variants."""
+
+    title: str
+    variants: List[str]
+    #: variant -> counters summed over every trace
+    totals: Dict[str, AttributionCounters] = field(default_factory=dict)
+    #: variant -> per-trace counters (for drill-down / CSV)
+    per_trace: Dict[str, List[AttributionCounters]] = field(
+        default_factory=dict
+    )
+
+    def render_text(self) -> str:
+        """Headline rates plus the per-cause table, like Figure 10."""
+        headline = format_table(
+            ["variant", "loads", "pred rate", "accuracy", "mispred rate"],
+            [
+                [
+                    variant,
+                    total.loads,
+                    format_percent(total.prediction_rate),
+                    format_percent(total.accuracy, 2),
+                    format_percent(total.misprediction_rate, 2),
+                ]
+                for variant, total in self.totals.items()
+            ],
+            title=self.title,
+        )
+        headers = ["cause"]
+        for variant in self.variants:
+            headers += [variant, "/1k loads"]
+        rows: List[List[object]] = []
+        for cause in AttributionCounters().attribution():
+            row: List[object] = [cause]
+            for variant in self.variants:
+                total = self.totals[variant]
+                count = total.attribution()[cause]
+                per_k = 1000.0 * count / total.loads if total.loads else 0.0
+                row += [count, f"{per_k:.2f}"]
+            rows.append(row)
+        causes = format_table(
+            headers, rows, title="Attribution (event counts)",
+        )
+        return headline + "\n\n" + causes
+
+    def to_json(self) -> str:
+        payload = {
+            "title": self.title,
+            "variants": self.variants,
+            "totals": {
+                variant: _counters_record(total)
+                for variant, total in self.totals.items()
+            },
+            "per_trace": {
+                variant: [_counters_record(c) for c in counters]
+                for variant, counters in self.per_trace.items()
+            },
+        }
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_csv(self) -> str:
+        """Wide CSV: one row per (variant, trace) plus an ALL row each."""
+        buffer = io.StringIO()
+        columns = [
+            "variant", "trace", "suite", *_COUNTS,
+            *AttributionCounters().attribution(),
+        ]
+        writer = csv.DictWriter(buffer, fieldnames=columns)
+        writer.writeheader()
+        for variant in self.variants:
+            for counters in self.per_trace.get(variant, []):
+                writer.writerow(_csv_row(variant, counters))
+            total = self.totals[variant]
+            row = _csv_row(variant, total)
+            row["trace"] = "ALL"
+            row["suite"] = "ALL"
+            writer.writerow(row)
+        return buffer.getvalue()
+
+
+def _counters_record(counters: AttributionCounters) -> Dict[str, Any]:
+    record: Dict[str, Any] = {
+        "trace": counters.trace,
+        "suite": counters.suite,
+    }
+    record.update((name, getattr(counters, name)) for name in _COUNTS)
+    record.update(
+        prediction_rate=counters.prediction_rate,
+        accuracy=counters.accuracy,
+        misprediction_rate=counters.misprediction_rate,
+        attribution=counters.attribution(),
+    )
+    return record
+
+
+def _csv_row(variant: str, counters: AttributionCounters) -> Dict[str, Any]:
+    row: Dict[str, Any] = {
+        "variant": variant,
+        "trace": counters.trace,
+        "suite": counters.suite,
+    }
+    row.update((name, getattr(counters, name)) for name in _COUNTS)
+    row.update(counters.attribution())
+    return row
+
+
+def collect_breakdown(
+    traces: Optional[Iterable[str]] = None,
+    instructions: Optional[int] = None,
+    variants: Optional[Dict[str, VariantSpec]] = None,
+    warmup_fraction: float = 0.0,
+) -> BreakdownResult:
+    """Run the instrumented grid and aggregate attribution counters.
+
+    Jobs run through :func:`repro.eval.engine.run_jobs`, so the
+    breakdown parallelises under ``REPRO_JOBS`` exactly like the figure
+    suite — the engine's deterministic merge keeps the aggregated
+    counters identical across worker counts.
+    """
+    roster = variants if variants is not None else DEFAULT_VARIANTS
+    jobs = _grid_jobs(
+        _resolve_traces(traces), roster, instructions, warmup_fraction,
+        instrument=True,
+    )
+    result = BreakdownResult(
+        title="Misprediction-cause breakdown (attribution counters)",
+        variants=list(roster),
+        totals={name: AttributionCounters(name=name) for name in roster},
+        per_trace={name: [] for name in roster},
+    )
+    for job_result in run_jobs(jobs):
+        metrics = job_result.metrics
+        if not isinstance(metrics, AttributionCounters):
+            raise TypeError(
+                f"instrumented job for {job_result.variant!r} returned"
+                f" {type(metrics).__name__}, expected AttributionCounters"
+            )
+        result.per_trace[job_result.variant].append(metrics)
+        result.totals[job_result.variant] += metrics
     return result

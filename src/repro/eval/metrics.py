@@ -7,12 +7,15 @@
   as in Figure 10);
 * **correct rate** — correct speculative accesses out of all dynamic loads
   (the Figure 9 metric).
+
+:class:`AttributionCounters` adds the misprediction causes and doubles as
+the predictors' attribution probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 __all__ = [
     "AttributionCounters",
@@ -121,14 +124,17 @@ class PredictorMetrics:
 
 @dataclass
 class AttributionCounters(PredictorMetrics):
-    """:class:`PredictorMetrics` extended with attribution counters.
+    """:class:`PredictorMetrics` plus one counter per misprediction cause.
 
-    One integer per telemetry event type, in the canonical order of
-    ``repro.telemetry.instrumentation.ATTRIBUTION_FIELDS`` (a unit test
-    pins the two field lists together; this module deliberately does not
-    import the telemetry package, keeping ``eval`` importable without it).
-    Instances survive the engine's deterministic merge like any other
-    metrics object: :meth:`add` is generic over dataclass fields.
+    The paper explains *why* loads mispredict (Sections 4.2-4.5, Figures
+    9-10); these counters keep the causes apart.  An instance is also the
+    attribution **probe**: :func:`repro.eval.runner.instrument_predictor`
+    attaches it to a predictor tree, whose components call the event
+    methods below from already-rare branches (a table miss, a veto, a
+    rollback), and the batch kernels add their counts to the same fields.
+    :meth:`add` is generic over dataclass fields, so instances survive
+    the engine's deterministic merge.  The counter taxonomy is in
+    ``docs/observability.md``.
     """
 
     lb_misses: int = 0
@@ -155,14 +161,49 @@ class AttributionCounters(PredictorMetrics):
             if spec.name not in base
         }
 
-    def absorb_probe(self, probe: Any) -> None:
-        """Fold an ``AttributionProbe``'s counters into this object.
+    # -- event sinks (called from predictor hot paths) ----------------------
 
-        Matched by field name, so the probe and this dataclass cannot
-        drift apart silently — a missing attribute raises.
-        """
-        for name in self.attribution():
-            setattr(self, name, getattr(self, name) + getattr(probe, name))
+    def lb_miss(self) -> None:
+        self.lb_misses += 1
+
+    def lt_miss(self) -> None:
+        self.lt_misses += 1
+
+    def lt_tag_mismatch(self) -> None:
+        self.lt_tag_mismatches += 1
+
+    def pf_rejection(self) -> None:
+        self.pf_rejections += 1
+
+    def confidence_veto(self) -> None:
+        self.confidence_vetoes += 1
+
+    def cfi_veto(self) -> None:
+        self.cfi_vetoes += 1
+
+    def interval_stop(self) -> None:
+        self.interval_stops += 1
+
+    def drain_suppression(self) -> None:
+        self.drain_suppressions += 1
+
+    def selector_choice(self, component: str) -> None:
+        if component == "cap":
+            self.selector_cap += 1
+        else:
+            self.selector_stride += 1
+
+    def catchup_fired(self) -> None:
+        self.catchups_fired += 1
+
+    def spec_rollback(self) -> None:
+        self.spec_rollbacks += 1
+
+    def cfi_bad_pattern(self) -> None:
+        self.cfi_bad_patterns += 1
+
+    def pipeline_flush(self) -> None:
+        self.pipeline_flushes += 1
 
 
 @dataclass

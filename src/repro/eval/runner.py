@@ -13,6 +13,11 @@ kernels through the one dispatch rule,
 :func:`repro.kernels.dispatch_batch`, and run that loop when it declines.
 The serving layer (:class:`repro.serve.session.PredictorSession`) is a
 stateful wrapper over the same functions.
+
+Every caller builds its metrics object with :func:`new_metrics`: plain
+:class:`~repro.eval.metrics.PredictorMetrics`, or — instrumented —
+:class:`~repro.eval.metrics.AttributionCounters` attached to the
+predictor tree as its attribution probe by :func:`instrument_predictor`.
 """
 
 from __future__ import annotations
@@ -29,14 +34,81 @@ from typing import (
 )
 
 from ..kernels import BACKEND_NUMPY, dispatch_batch, fold_metrics
+from ..pipeline.delayed import PipelinedPredictor
 from ..predictors.base import AddressPredictor
+from ..predictors.cap import CAPComponent, CAPPredictor
+from ..predictors.hybrid import HybridPredictor
+from ..predictors.stride import StridePredictor
 from ..trace.trace import PredictorStream, Trace
 from .metrics import AttributionCounters, PredictorMetrics
 
 if TYPE_CHECKING:
     from ..kernels.batch import PlanScope
 
-__all__ = ["predict_loads", "run_on_columns", "run_on_stream", "run_predictor"]
+__all__ = [
+    "instrument_predictor",
+    "new_metrics",
+    "predict_loads",
+    "run_on_columns",
+    "run_on_stream",
+    "run_predictor",
+]
+
+
+def instrument_predictor(
+    predictor: AddressPredictor, probe: AttributionCounters
+) -> None:
+    """Attach ``probe`` to every instrumented component of ``predictor``.
+
+    Attachment happens from the outside — predictors only carry a
+    ``probe`` attribute initialised to ``None`` — so a probe is wiring,
+    never learned state (``reset()`` forgets tables, not the probe).
+    Handles the stand-alone CAP/stride predictors, the shared-LB hybrid
+    (both embedded components plus its Link Table), and a
+    :class:`~repro.pipeline.delayed.PipelinedPredictor` wrapper (the probe
+    reaches both the wrapper, for flush events, and the wrapped core).
+    Other predictor types get the top-level attribute only, which is
+    harmless: components that never emit never read it.
+    """
+    predictor.probe = probe
+    if isinstance(predictor, PipelinedPredictor):
+        instrument_predictor(predictor.inner, probe)
+    elif isinstance(predictor, CAPPredictor):
+        _instrument_cap_component(predictor.component, probe)
+    elif isinstance(predictor, StridePredictor):
+        predictor.logic.probe = probe
+    elif isinstance(predictor, HybridPredictor):
+        _instrument_cap_component(predictor.cap, probe)
+        predictor.stride_logic.probe = probe
+
+
+def _instrument_cap_component(
+    component: CAPComponent, probe: AttributionCounters
+) -> None:
+    component.probe = probe
+    component.link_table.probe = probe
+
+
+def new_metrics(
+    predictor: AddressPredictor,
+    instrument: bool,
+    name: str = "",
+    trace: str = "",
+    suite: str = "",
+) -> PredictorMetrics:
+    """Fresh metrics for one evaluation of ``predictor``.
+
+    With ``instrument`` the result is an :class:`AttributionCounters`
+    already attached to the predictor tree, so it counts misprediction
+    causes live while the loops fill in its correctness counters.
+    ``name`` defaults to the predictor's own.
+    """
+    label = name or predictor.name
+    if not instrument:
+        return PredictorMetrics(name=label, trace=trace, suite=suite)
+    counters = AttributionCounters(name=label, trace=trace, suite=suite)
+    instrument_predictor(predictor, counters)
+    return counters
 
 
 def run_on_stream(
@@ -183,10 +255,10 @@ def run_predictor(
     stream), a :class:`PredictorStream`, or an already-extracted list of
     stream tuples (useful when evaluating many predictors over one trace).
 
-    With ``instrument=True`` an attribution probe is attached to the
-    predictor tree and the result is an
-    :class:`~repro.eval.metrics.AttributionCounters` carrying the
-    per-component misprediction-cause breakdown.
+    With ``instrument=True`` the result is an
+    :class:`~repro.eval.metrics.AttributionCounters` attached to the
+    predictor tree, carrying the per-component misprediction-cause
+    breakdown (see :func:`new_metrics`).
     """
     trace_name = ""
     suite = ""
@@ -196,30 +268,9 @@ def run_predictor(
         suite = trace.meta.get("suite", "")
     else:
         stream = trace
-    metrics: PredictorMetrics
-    probe = None
-    if instrument:
-        # Imported here: the runner itself stays telemetry-free for the
-        # (overwhelmingly common) uninstrumented path.
-        from ..telemetry.instrumentation import (
-            AttributionProbe,
-            instrument_predictor,
-        )
-
-        probe = AttributionProbe()
-        instrument_predictor(predictor, probe)
-        metrics = AttributionCounters(
-            name=name or predictor.name, trace=trace_name, suite=suite,
-        )
-    else:
-        metrics = PredictorMetrics(
-            name=name or predictor.name, trace=trace_name, suite=suite,
-        )
+    metrics = new_metrics(predictor, instrument, name or "", trace_name, suite)
     if isinstance(stream, PredictorStream):
         run_on_columns(predictor, stream, metrics, warmup_loads)
     else:
         run_on_stream(predictor, stream, metrics, warmup_loads)
-    if probe is not None:
-        assert isinstance(metrics, AttributionCounters)
-        metrics.absorb_probe(probe)
     return metrics

@@ -78,7 +78,6 @@ def supports_batch(predictor) -> bool:
 def run_batch(
     predictor,
     stream,
-    warmup_loads: int = 0,
     scope: Optional["PlanScope"] = None,
 ) -> Optional[BatchResult]:
     """Run the kernel path unconditionally; ``None`` on :class:`BatchFallback`.

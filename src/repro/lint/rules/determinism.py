@@ -22,7 +22,7 @@ the classic ways Python code goes quietly non-deterministic:
   ``repro/eval/config.py``, the typed resolution point every runtime
   knob funnels through.  A predictor or trace generator that consults
   the environment produces figures nobody can reproduce from the command
-  line alone; even engine and telemetry code must go through
+  line alone; even engine and observability code must go through
   :mod:`repro.eval.config` so precedence (defaults < env < CLI flags)
   is decided in exactly one place.
 """
@@ -80,8 +80,8 @@ CLOCK_FUNCS = frozenset(
 
 #: The only modules in which environment reads are sanctioned: the typed
 #: RunConfig resolution point (every knob funnels through it) and the
-#: lint package's own fixtures.  Until PR 7 whole packages (eval/,
-#: telemetry/) were exempt; collapsing the knob sprawl into
+#: lint package's own fixtures.  Whole packages (``eval/`` and the
+#: observability code) were once exempt; collapsing the knob sprawl into
 #: ``repro.eval.config`` let the allowlist shrink to one module.
 ENV_ALLOWED_MODULES = ("eval/config.py",)
 

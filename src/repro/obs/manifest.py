@@ -11,9 +11,11 @@ them against ``run_manifest.schema.json``.
 
 This module is deliberately free of simulator imports: it handles plain
 dicts and knows nothing about jobs or predictors (the engine owns that
-glue).  All wall-clock access is funnelled through :func:`wall_clock` /
-:func:`perf_clock`, the only sanctioned clock reads outside ``eval/`` —
-telemetry *observes* runs, it never feeds time back into simulated state.
+glue).  Code outside ``obs/`` reads the clock through :func:`wall_clock` /
+:func:`perf_clock` — observability *observes* runs, it never feeds time
+back into simulated state.  Whether telemetry is on, and where manifests
+go, is :mod:`repro.eval.config`'s business (``telemetry_enabled`` /
+``telemetry_dir``).
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "cpu_clock",
-    "enabled",
     "file_provenance",
     "heartbeat",
     "iso_utc",
     "jsonable",
     "load_manifests",
-    "output_dir",
     "peak_rss_kb",
     "perf_clock",
     "wall_clock",
@@ -51,29 +51,6 @@ MANIFEST_SCHEMA_ID = "repro.run_manifest/v1"
 
 
 # ---------------------------------------------------------------------------
-# Runtime switches
-# ---------------------------------------------------------------------------
-
-def enabled() -> bool:
-    """Whether run telemetry is switched on (``REPRO_TELEMETRY=1``).
-
-    Resolution lives in :mod:`repro.eval.config` (the one sanctioned
-    environment-reading module); imported lazily so this module keeps its
-    no-simulator-imports property at import time.
-    """
-    from ..eval.config import telemetry_enabled
-
-    return telemetry_enabled()
-
-
-def output_dir() -> Path:
-    """Manifest directory: ``REPRO_TELEMETRY_DIR``, default ``telemetry/``."""
-    from ..eval.config import telemetry_dir
-
-    return telemetry_dir()
-
-
-# ---------------------------------------------------------------------------
 # Clocks and process statistics (observability only, never simulated state)
 # ---------------------------------------------------------------------------
 
@@ -82,9 +59,9 @@ def wall_clock() -> float:
 
     Manifest timestamps and heartbeat pacing only; nothing simulated may
     consume this value (the R002 determinism rule polices exactly that,
-    which is why the read lives here behind one audited suppression).
+    and allows the read here because ``obs/`` measures time by design).
     """
-    return time.time()  # repro-lint: disable=R002
+    return time.time()
 
 
 def perf_clock() -> float:
@@ -92,7 +69,7 @@ def perf_clock() -> float:
 
     Display/manifest only — see :func:`wall_clock` for the policy.
     """
-    return time.perf_counter()  # repro-lint: disable=R002
+    return time.perf_counter()
 
 
 def cpu_clock() -> float:
@@ -175,16 +152,13 @@ def heartbeat(message: str) -> None:
           file=sys.stderr, flush=True)
 
 
-def write_manifest(
-    data: Dict[str, Any], directory: Optional[Path] = None
-) -> Path:
-    """Atomically write one manifest; returns its path.
+def write_manifest(data: Dict[str, Any], directory: Path) -> Path:
+    """Atomically write one manifest into ``directory``; returns its path.
 
     The file name is derived from variant/trace/config-hash, so re-running
     the same job spec overwrites its own manifest (last writer wins) and
     distinct specs never collide.
     """
-    directory = directory if directory is not None else output_dir()
     directory.mkdir(parents=True, exist_ok=True)
     digest = str(data.get("config_hash", ""))[:12] or "nohash"
     variant = _slug(str(data.get("job", {}).get("variant", "")) or "run")

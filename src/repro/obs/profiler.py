@@ -24,24 +24,13 @@ import threading
 from types import FrameType
 from typing import Any, Dict, List, Optional
 
-__all__ = ["SamplingProfiler", "available", "enabled", "maybe_start"]
+__all__ = ["SamplingProfiler", "available"]
 
 #: Default sampling period, seconds of *CPU* time between samples.
 DEFAULT_INTERVAL = 0.005
 
 #: Stack frames folded into one site label (innermost first).
 SITE_DEPTH = 3
-
-
-def enabled() -> bool:
-    """Whether profiling is requested (``REPRO_TELEMETRY_PROFILE=1``).
-
-    Delegates to :mod:`repro.eval.config`, the single environment-reading
-    module the R002 determinism rule sanctions.
-    """
-    from ..eval.config import profile_enabled
-
-    return profile_enabled()
 
 
 def available() -> bool:
@@ -51,17 +40,6 @@ def available() -> bool:
         and hasattr(signal, "SIGPROF")
         and threading.current_thread() is threading.main_thread()
     )
-
-
-def maybe_start(
-    interval: float = DEFAULT_INTERVAL,
-) -> Optional["SamplingProfiler"]:
-    """Start a profiler when enabled and available, else return ``None``."""
-    if not (enabled() and available()):
-        return None
-    profiler = SamplingProfiler(interval=interval)
-    profiler.start()
-    return profiler
 
 
 def _site_of(frame: Optional[FrameType]) -> str:

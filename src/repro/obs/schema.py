@@ -19,10 +19,18 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List
 
-__all__ = ["SCHEMA_PATH", "load_schema", "validate", "validate_manifest"]
+__all__ = [
+    "SCHEMA_PATH",
+    "SLO_SCHEMA_PATH",
+    "load_schema",
+    "validate",
+    "validate_manifest",
+]
 
 #: The checked-in manifest schema shipped inside the package.
 SCHEMA_PATH = Path(__file__).with_name("run_manifest.schema.json")
+#: The loadgen SLO report schema (``benchmarks/loadgen.py``).
+SLO_SCHEMA_PATH = Path(__file__).with_name("slo_report.schema.json")
 
 #: Schema keywords this validator understands.
 _SUPPORTED = frozenset(

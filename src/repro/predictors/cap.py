@@ -146,7 +146,7 @@ class CAPComponent:
             drop_low_bits=self.config.drop_low_bits,
         )
         self._offset_mask = mask(self.config.offset_bits)
-        # Attribution sink (attached externally by the telemetry layer).
+        # Attribution sink (attached by eval.runner.instrument_predictor).
         self.probe: Optional[Any] = None
 
     # -- base-address arithmetic (truncated adders, Section 3.3) -----------

@@ -118,7 +118,7 @@ class LinkTable:
         self.tag_mismatches = 0
         self.pf_rejections = 0
         self.link_writes = 0
-        # Attribution sink (attached externally by the telemetry layer).
+        # Attribution sink (attached by eval.runner.instrument_predictor).
         self.probe: Optional[Any] = None
 
     # -- field extraction ----------------------------------------------------

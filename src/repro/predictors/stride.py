@@ -97,7 +97,7 @@ class StrideLogic:
 
     def __init__(self, config: StrideConfig) -> None:
         self.config = config
-        # Attribution sink (attached externally by the telemetry layer).
+        # Attribution sink (attached by eval.runner.instrument_predictor).
         self.probe: Optional[Any] = None
 
     def predict(

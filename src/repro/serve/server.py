@@ -41,10 +41,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..eval import config as run_config
+from ..obs import manifest as run_manifest
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.tracing import Tracer, mint_trace_id
-from ..telemetry import manifest as run_manifest
 from . import protocol
 from .protocol import (
     KIND_EVENTS,
@@ -206,7 +207,7 @@ def write_session_manifest(
     flight_dir: Optional[str] = None,
 ) -> None:
     """Write a finished session's manifest when telemetry is enabled."""
-    if not run_manifest.enabled():
+    if not run_config.telemetry_enabled():
         return
     manifest = session_manifest(
         session.config,
@@ -219,7 +220,7 @@ def write_session_manifest(
         trace_id=trace_id,
         flight_dir=flight_dir,
     )
-    run_manifest.write_manifest(manifest)
+    run_manifest.write_manifest(manifest, run_config.telemetry_dir())
 
 
 @dataclass

@@ -5,9 +5,10 @@ offline runner used to scatter across call sites: the LB/LT tables live
 in the predictor, the correctness counters in a
 :class:`~repro.eval.metrics.PredictorMetrics` (or
 :class:`~repro.eval.metrics.AttributionCounters` when instrumented), and
-cross-feed warm-up accounting in the session itself.  ``feed(events)``
-returns one prediction record per dynamic load; ``finish()`` seals the
-session and returns the metrics.
+cross-feed warm-up accounting in the session itself.  Instrumented
+counters are the predictor's attribution probe, so they count live
+across feeds.  ``feed(events)`` returns one prediction record per
+dynamic load; ``finish()`` seals the session and returns the metrics.
 
 The evaluation loops live in :mod:`repro.eval.runner`; the session is a
 stateful wrapper over them plus the batch-kernel dispatch rule
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..eval.engine import Job, build_predictor
-from ..eval.metrics import AttributionCounters, PredictorMetrics
-from ..eval.runner import run_on_stream
+from ..eval.metrics import PredictorMetrics
+from ..eval.runner import new_metrics, run_on_stream
 from ..kernels import (
     BACKEND_NUMPY,
     BACKEND_PYTHON,
@@ -118,24 +119,10 @@ class PredictorSession:
         self.config = config
         self.session_id = session_id
         self.predictor: AddressPredictor = build_predictor(config.to_job())
-        self._probe: Optional[Any] = None
-        if config.instrument:
-            from ..telemetry.instrumentation import (
-                AttributionProbe,
-                instrument_predictor,
-            )
-
-            self._probe = AttributionProbe()
-            instrument_predictor(self.predictor, self._probe)
-            self.metrics: PredictorMetrics = AttributionCounters(
-                name=config.variant or self.predictor.name,
-                trace=config.trace, suite="serve",
-            )
-        else:
-            self.metrics = PredictorMetrics(
-                name=config.variant or self.predictor.name,
-                trace=config.trace, suite="serve",
-            )
+        self.metrics: PredictorMetrics = new_metrics(
+            self.predictor, config.instrument, config.variant,
+            config.trace, "serve",
+        )
         self.seen_loads = 0
         self.seen_events = 0
         self.feeds = 0
@@ -224,9 +211,5 @@ class PredictorSession:
 
     def finish(self) -> PredictorMetrics:
         """Seal the session and return its metrics (idempotent)."""
-        if not self.finished:
-            self.finished = True
-            if self._probe is not None:
-                assert isinstance(self.metrics, AttributionCounters)
-                self.metrics.absorb_probe(self._probe)
+        self.finished = True
         return self.metrics

@@ -28,9 +28,9 @@ import zlib
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from ..obs import manifest as run_manifest
 from ..obs.metrics import global_registry
 from ..obs.tracing import Tracer
-from ..telemetry import manifest as run_manifest
 from .session import PredictorSession, SessionConfig
 
 __all__ = ["ShardManager", "shard_worker"]

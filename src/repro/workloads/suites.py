@@ -319,9 +319,9 @@ def trace_cache_path(
 ) -> Path:
     """On-disk cache file a (trace, instructions) pair resolves to.
 
-    The file may not exist yet (cold cache).  Exposed so the telemetry
-    layer can record cache-file provenance in run manifests without
-    duplicating the naming scheme.
+    The file may not exist yet (cold cache).  Exposed so run manifests
+    can record cache-file provenance without duplicating the naming
+    scheme.
     """
     if instructions is None:
         instructions = default_instructions()

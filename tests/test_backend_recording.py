@@ -91,10 +91,10 @@ class TestRecordBenchProbe:
     def test_all_fallback_roster_probes_python(self, monkeypatch):
         # If every measured variant falls back, the entry must record
         # "python" even though numpy was requested.
-        import repro.telemetry.stats as stats
+        import repro.eval.experiments as experiments
 
         bench = _bench_module()
-        monkeypatch.setattr(stats, "DEFAULT_VARIANTS", {
+        monkeypatch.setattr(experiments, "DEFAULT_VARIANTS", {
             "hybrid": ("hybrid", dict(FALLBACK_OVERRIDES), None),
         })
         assert bench._observed_backend("numpy") == "python"

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.common.bitops import fold_xor
-from repro.eval.metrics import PredictorMetrics
-from repro.eval.runner import run_on_columns
+from repro.eval.metrics import AttributionCounters, PredictorMetrics
+from repro.eval.runner import instrument_predictor, run_on_columns
 from repro.kernels import (
     BACKEND_ENV,
     BACKEND_NUMPY,
@@ -53,7 +53,6 @@ from repro.predictors.link_table import LinkTableConfig
 from repro.obs.metrics import global_registry
 from repro.pipeline.delayed import PipelinedPredictor
 from repro.predictors.stride import StrideConfig, StridePredictor
-from repro.telemetry.instrumentation import AttributionProbe, instrument_predictor
 from repro.trace.trace import PredictorStream
 
 
@@ -433,13 +432,13 @@ class TestDispatchGates:
         p = CAPPredictor(CAPConfig(
             lb_entries=64, lb_ways=2,
             lt=LinkTableConfig(entries=64, ways=2, tag_bits=4, pf_bits=2)))
-        assert run_batch(p, self._stream(), 0) is None
+        assert run_batch(p, self._stream()) is None
 
     def test_unless_stride_selected_falls_back(self):
         p = HybridPredictor(HybridConfig(
             lb_entries=64, lb_ways=2, lt_update_policy="unless_stride_selected",
             cap=CAPConfig(lt=_lt(entries=64, tag_bits=4, pf_bits=2))))
-        assert run_batch(p, self._stream(), 0) is None
+        assert run_batch(p, self._stream()) is None
 
     def test_run_on_columns_routes_per_backend(self, monkeypatch):
         stream = self._stream()
@@ -459,7 +458,7 @@ class TestDispatchGates:
 
 def _run_both(factory, stream, warmup):
     scalar = factory()
-    probe_s = AttributionProbe()
+    probe_s = AttributionCounters()
     instrument_predictor(scalar, probe_s)
     m_scalar = PredictorMetrics()
     records = []
@@ -469,10 +468,10 @@ def _run_both(factory, stream, warmup):
             (ip, off, act, pr.address, pr.speculative, pr.source)))
 
     batch = factory()
-    probe_b = AttributionProbe()
+    probe_b = AttributionCounters()
     instrument_predictor(batch, probe_b)
     m_batch = PredictorMetrics()
-    result = run_batch(batch, stream, warmup)
+    result = run_batch(batch, stream)
     assert result is not None, "kernel unexpectedly fell back"
     fold_metrics(result, m_batch, warmup)
     return (scalar, m_scalar, records, probe_s,
@@ -493,7 +492,7 @@ def test_kernel_matches_scalar(name, factory, dump, seed):
     assert records == brecords
     assert (scalar.ghr, scalar.call_path) == (batch.ghr, batch.call_path)
     assert dump(scalar) == dump(batch)
-    assert probe_s.as_dict() == probe_b.as_dict()
+    assert probe_s.attribution() == probe_b.attribution()
 
 
 @pytest.mark.parametrize("events", [0, 1, 7])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors.link_table import LinkEntry, LinkTable, LinkTableConfig
-from repro.telemetry.instrumentation import AttributionProbe
+from repro.eval.metrics import AttributionCounters
 
 
 def small_lt(**overrides):
@@ -219,7 +219,7 @@ class TestLazySets:
 
     def test_untagged_lookup_on_unwritten_set_is_a_miss(self):
         lt = small_lt(tag_bits=0)
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         lt.probe = probe
         assert lt.lookup(5) == (None, False)
         assert probe.lt_misses == 1
@@ -239,7 +239,7 @@ class TestLazySets:
     def test_matches_eager_layout(self, which, ops):
         config = LinkTableConfig(**_LT_CONFIGS[which])
         lazy, eager = LinkTable(config), _eager(LinkTable(config))
-        lazy.probe, eager.probe = AttributionProbe(), AttributionProbe()
+        lazy.probe, eager.probe = AttributionCounters(), AttributionCounters()
         for op, history, value in ops:
             if op == "update":
                 assert lazy.update(history, value) == eager.update(history, value)
@@ -249,4 +249,4 @@ class TestLazySets:
                 lazy.clear()
                 eager.clear()
             assert _observable(lazy) == _observable(eager)
-            assert lazy.probe.as_dict() == eager.probe.as_dict()
+            assert lazy.probe.attribution() == eager.probe.attribution()

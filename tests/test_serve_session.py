@@ -8,8 +8,9 @@ both backends, and regardless of how the stream is chunked into feeds.
 
 import pytest
 
+from repro.eval.engine import Job, build_predictor
 from repro.eval.metrics import PredictorMetrics
-from repro.eval.runner import run_on_stream
+from repro.eval.runner import run_on_stream, run_predictor
 from repro.serve.session import PredictorSession, SessionConfig
 from repro.verify.fuzz import generate_events
 
@@ -22,8 +23,6 @@ def _events(profile="mixed", seed=0, n=N_EVENTS):
 
 def offline_records(factory, events, warmup=0, overrides=None, gap=None):
     """Reference: scalar offline run with a capturing observer."""
-    from repro.eval.engine import Job, build_predictor
-
     predictor = build_predictor(Job(
         trace="", factory=factory, overrides=dict(overrides or {}), gap=gap,
     ))
@@ -172,13 +171,58 @@ class TestLifecycle:
 
     def test_instrumented_session_attribution(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
+        events = _events(seed=2)
         session = PredictorSession(
             SessionConfig(factory="hybrid", instrument=True)
         )
-        session.feed(_events(seed=2))
+        session.feed(events)
         metrics = session.finish()
-        assert hasattr(metrics, "attribution")
-        assert sum(metrics.attribution().values()) >= 0
+        offline = run_predictor(
+            build_predictor(Job(trace="", factory="hybrid")), events,
+            instrument=True,
+        )
+        assert metrics.attribution() == offline.attribution()
+        assert any(metrics.attribution().values())
+
+
+@pytest.fixture(scope="module")
+def int_xli():
+    from repro.workloads.suites import get_trace
+
+    return get_trace("INT_xli", 8000, use_cache=False)
+
+
+class TestServedAttribution:
+    """Sessions count attribution live across feeds; the totals must
+    equal one offline instrumented run, however the stream is chunked
+    and whichever backend evaluates the first feed."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("chunk", [None, 150])
+    @pytest.mark.parametrize("gap", [None, 4])
+    @pytest.mark.parametrize("factory", ["stride", "cap", "hybrid"])
+    def test_matches_offline_run(
+        self, monkeypatch, int_xli, factory, gap, chunk, backend
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        offline = run_predictor(
+            build_predictor(Job(trace="", factory=factory, gap=gap)),
+            int_xli, instrument=True, warmup_loads=50,
+        )
+        session = PredictorSession(SessionConfig(
+            factory=factory, gap=gap, instrument=True, warmup_loads=50,
+        ))
+        stream = int_xli.predictor_columns()
+        if chunk is None:
+            session.feed(stream)
+        else:
+            events = list(stream.tuples())
+            for start in range(0, len(events), chunk):
+                session.feed(events[start:start + chunk])
+        served = session.finish()
+        assert served.attribution() == offline.attribution()
+        assert served.loads == offline.loads
+        assert served.correct_speculative == offline.correct_speculative
 
 
 class TestSessionConfig:

@@ -1,4 +1,4 @@
-"""Instrumentation layer: probes, manifests, schema, profiler, stats.
+"""Observability: attribution counters, manifests, schema, profiler, stats.
 
 The load-bearing property is path parity: an instrumented predictor
 must report byte-identical attribution counters whether it is driven by
@@ -10,18 +10,14 @@ import random
 
 import pytest
 
+from repro.eval import config as run_config
 from repro.eval.engine import FACTORIES, Job, execute_job, run_jobs
 from repro.eval.metrics import AttributionCounters, PredictorMetrics
-from repro.eval.runner import run_predictor
+from repro.eval.runner import instrument_predictor, run_predictor
+from repro.obs import manifest as run_manifest
+from repro.obs import profiler
+from repro.obs.schema import load_schema, validate, validate_manifest
 from repro.pipeline.delayed import PipelinedPredictor
-from repro.telemetry import (
-    ATTRIBUTION_FIELDS,
-    AttributionProbe,
-    instrument_predictor,
-)
-from repro.telemetry import manifest as run_manifest
-from repro.telemetry import profiler
-from repro.telemetry.schema import load_schema, validate, validate_manifest
 from repro.trace.event import KIND_BRANCH, KIND_CALL, KIND_LOAD, KIND_RET
 from repro.trace.trace import Trace
 
@@ -73,48 +69,27 @@ def _variants():
     yield "hybrid_gap4", lambda: PipelinedPredictor(FACTORIES["hybrid"](), 4)
 
 
-class TestAttributionProbe:
-    def test_fields_pin_counters_dataclass(self):
-        # The probe's field list and AttributionCounters' extra fields are
-        # maintained by hand in two modules; this is the drift alarm.
-        assert tuple(AttributionCounters().attribution()) == ATTRIBUTION_FIELDS
-
+class TestAttributionCounters:
     def test_events_increment_their_field(self):
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         probe.lb_miss()
         probe.lt_tag_mismatch()
         probe.selector_choice("cap")
         probe.selector_choice("stride")
         probe.selector_choice("stride")
-        counts = probe.as_dict()
+        counts = probe.attribution()
         assert counts["lb_misses"] == 1
         assert counts["lt_tag_mismatches"] == 1
         assert counts["selector_cap"] == 1
         assert counts["selector_stride"] == 2
-        assert probe.total_events() == 5
-
-    def test_merge_sums_fields(self):
-        a, b = AttributionProbe(), AttributionProbe()
-        a.pf_rejection()
-        b.pf_rejection()
-        b.confidence_veto()
-        a.merge(b)
-        assert a.pf_rejections == 2
-        assert a.confidence_vetoes == 1
-
-    def test_absorb_probe_matches_by_name(self):
-        probe = AttributionProbe()
-        probe.catchup_fired()
-        counters = AttributionCounters()
-        counters.absorb_probe(probe)
-        counters.absorb_probe(probe)
-        assert counters.catchups_fired == 2
+        assert sum(counts.values()) == 5
+        assert probe.loads == 0
 
 
 class TestInstrumentWiring:
     def test_cap_tree_shares_one_probe(self):
         predictor = FACTORIES["cap"]()
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         assert predictor.probe is probe
         assert predictor.component.probe is probe
@@ -122,21 +97,21 @@ class TestInstrumentWiring:
 
     def test_hybrid_tree_shares_one_probe(self):
         predictor = FACTORIES["hybrid"]()
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         assert predictor.probe is probe
         assert predictor.stride_logic.probe is probe
 
     def test_pipelined_wrapper_recurses(self):
         predictor = PipelinedPredictor(FACTORIES["cap"](), 4)
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         assert predictor.probe is probe
         assert predictor.inner.probe is probe
 
     def test_reset_keeps_the_probe_attached(self):
         predictor = FACTORIES["cap"]()
-        probe = AttributionProbe()
+        probe = AttributionCounters()
         instrument_predictor(predictor, probe)
         predictor.reset()
         assert predictor.component.link_table.probe is probe
@@ -401,14 +376,15 @@ class TestSchemaValidator:
 
 class TestProfiler:
     def test_disabled_by_default(self):
-        assert profiler.maybe_start() is None
+        assert not run_config.profile_enabled()
 
     def test_profile_collects_samples(self, monkeypatch):
         if not profiler.available():
             pytest.skip("SIGPROF/setitimer unavailable")
         monkeypatch.setenv("REPRO_TELEMETRY_PROFILE", "1")
-        prof = profiler.maybe_start(interval=0.001)
-        assert prof is not None
+        assert run_config.profile_enabled()
+        prof = profiler.SamplingProfiler(interval=0.001)
+        prof.start()
         deadline = 200_000
         total = 0
         for i in range(deadline):
@@ -423,10 +399,10 @@ class TestProfiler:
 
 class TestStatsReporting:
     def _breakdown(self, monkeypatch):
-        from repro.telemetry import stats
+        from repro.eval.experiments import collect_breakdown
 
         monkeypatch.setenv("REPRO_JOBS", "1")
-        return stats.collect_breakdown(
+        return collect_breakdown(
             traces=[TRACE], instructions=INSTR,
         )
 
@@ -434,7 +410,7 @@ class TestStatsReporting:
         result = self._breakdown(monkeypatch)
         text = result.render_text()
         assert "Misprediction-cause breakdown" in text
-        for cause in ATTRIBUTION_FIELDS:
+        for cause in AttributionCounters().attribution():
             assert cause in text
         payload = json.loads(result.to_json())
         assert set(payload["totals"]) == {"stride", "cap", "hybrid"}
@@ -456,7 +432,7 @@ class TestStatsReporting:
         )
 
     def test_summarize_and_validate_directory(self, tmp_path, monkeypatch):
-        from repro.telemetry import stats
+        from repro.obs import report as stats
 
         out = tmp_path / "telemetry"
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
@@ -493,7 +469,7 @@ class TestManifestDiff:
             (directory / f"m{index}.json").write_text(json.dumps(manifest))
 
     def test_clean_when_within_tolerance(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.report import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.9, 0.5)])
         self._write(tmp_path / "b", [self._manifest("cap", 1.1, 0.9, 0.5)])
@@ -502,7 +478,7 @@ class TestManifestDiff:
         assert diff.rows[0]["flags"] == []
 
     def test_flags_perf_accuracy_and_rate(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.report import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.90, 0.50)])
         self._write(tmp_path / "b", [self._manifest("cap", 2.0, 0.80, 0.40)])
@@ -513,7 +489,7 @@ class TestManifestDiff:
         assert "wall" in diff.render()
 
     def test_config_change_is_informational(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.report import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.9, 0.5)])
         self._write(
@@ -525,7 +501,7 @@ class TestManifestDiff:
         assert diff.rows[0]["flags"] == ["config"]
 
     def test_unmatched_runs_listed(self, tmp_path):
-        from repro.telemetry.stats import diff_manifests
+        from repro.obs.report import diff_manifests
 
         self._write(tmp_path / "a", [self._manifest("cap", 1.0, 0.9, 0.5)])
         self._write(tmp_path / "b", [self._manifest("str", 1.0, 0.9, 0.5)])
